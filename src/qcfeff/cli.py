@@ -380,13 +380,15 @@ def suite_random_metrics(dim, count=10, seed=0, tol=None):
         pt = chart.sample_points(1, seed + s)[0]
         curv = ch.CurvatureData(chart, pt, 3)
         res, fit = curv.weyl_divergence_residual()
-        worst_div = max(worst_div, res)
-        worst_tr = max(worst_tr, curv.weyl_trace_residual())
-        worst_sch = max(worst_sch, curv.schouten_residual())
+        tr, sch = curv.weyl_trace_residual(), curv.schouten_residual()
         cf = ch.random_conf_factor(dim, seed + s)
-        worst_cov = max(
-            worst_cov, ch.weyl_conformal_covariance_residual(chart, pt, cf)
-        )
+        cov = ch.weyl_conformal_covariance_residual(chart, pt, cf)
+        # max() below drops a NaN, so a non-finite residual fails here
+        ok &= bool(np.isfinite([res, tr, sch, cov]).all())
+        worst_div = max(worst_div, res)
+        worst_tr = max(worst_tr, tr)
+        worst_sch = max(worst_sch, sch)
+        worst_cov = max(worst_cov, cov)
         if fit is not None:
             fitted.append(fit)
     results["divergence_residual"] = worst_div
@@ -543,6 +545,8 @@ def main(argv=None):
             config["metric"] = args.metric
             config["rescale_seed"] = args.rescale_seed
         elif args.command == "random-metrics":
+            if args.dim < 3:
+                raise ValueError("random-metrics supports dim >= 3")
             results, ok = suite_random_metrics(
                 args.dim, count=args.count, seed=args.seed, tol=tol
             )

@@ -14,6 +14,7 @@ over C as U + jV with U = a+bi, V = c-di.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 try:
     from gmpy2 import mpz
@@ -314,39 +315,22 @@ def realify_C(m: ExactMatrix) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _rows_to_int_matrix(rows, ncols):
-    """Clear denominators row by row; returns list of mpz lists."""
-    out = []
-    for row in rows:
-        if isinstance(row, dict):
-            dense = [_F0] * ncols
-            for j, v in row.items():
-                dense[j] = _frac(v)
-        else:
-            dense = [_frac(v) for v in row]
-            if len(dense) != ncols:
-                raise ValueError("row length mismatch")
-        lcm = 1
-        for v in dense:
-            if v != 0:
-                lcm = lcm * v.denominator // _gcd(lcm, v.denominator)
-        ints = [v.numerator * (lcm // v.denominator) for v in dense]
-        g = 0
-        for v in ints:
-            if v:
-                g = _gcd(g, abs(v))
-                if g == 1:
-                    break
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append([mpz(v) for v in ints])
-    return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _int_row(row, ncols):
+    """Primitive integer {col: int} form of one dense or sparse rational row."""
+    if isinstance(row, dict):
+        items = [(j, _frac(v)) for j, v in row.items() if v]
+    else:
+        if len(row) != ncols:
+            raise ValueError("row length mismatch")
+        items = [(j, _frac(v)) for j, v in enumerate(row) if v]
+    lcm = 1
+    for _, v in items:
+        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+    ints = {j: v.numerator * (lcm // v.denominator) for j, v in items}
+    g = gcd(*ints.values())
+    if g > 1:
+        ints = {j: v // g for j, v in ints.items()}
+    return ints
 
 
 def _bareiss_echelon(m, ncols):
@@ -417,11 +401,11 @@ def _kernel_from_echelon(piv_cols, ech, ncols):
         lcm = 1
         for v in x:
             if v:
-                lcm = lcm * v.denominator // _gcd(lcm, v.denominator)
+                lcm = lcm * v.denominator // gcd(lcm, v.denominator)
         g = 0
         ints = [v.numerator * (lcm // v.denominator) for v in x]
         for v in ints:
-            g = _gcd(g, abs(v))
+            g = gcd(g, v)
         if g > 1:
             ints = [v // g for v in ints]
         basis.append(tuple(Fraction(v) for v in ints))
@@ -468,59 +452,107 @@ def kernel_basis(rows, ncols):
     """Exact basis of the rational null space of the given rows.
 
     Accepts rows as sequences of Fractions/ints or sparse {col: value}
-    dicts.  The result is certified: every vector is verified to satisfy
-    M v = 0 exactly, and for the accelerated path the pivot minor is
-    nonzero mod p, which bounds the rank from below over Q.
+    dicts.  The columns are split into the connected components of the
+    row/column incidence graph and each component is solved on its own; a
+    column that no row touches contributes its unit vector.  Vectors are
+    ordered by their free column, the largest index in their support.
+
+    The result is certified: every vector is verified to satisfy M v = 0
+    exactly against every row of the whole system, and for the lifting
+    path the pivot minor is nonzero mod p, which bounds the rank from
+    below over Q.
     """
-    int_rows = _rows_to_int_matrix(rows, ncols)
-    int_rows = [r for r in int_rows if any(r)]
-    sparse_rows = [
-        {j: int(v) for j, v in enumerate(row) if v} for row in int_rows
-    ]
-    if not int_rows:
-        return [
-            tuple(_F1 if j == c else _F0 for j in range(ncols)) for c in range(ncols)
+    sparse_rows = [r for r in (_int_row(row, ncols) for row in rows) if r]
+    parent = list(range(ncols))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in sparse_rows:
+        js = iter(row)
+        root = find(next(js))
+        for j in js:
+            rj = find(j)
+            if rj != root:
+                parent[rj] = root
+    comp_cols, comp_rows = {}, {}
+    for c in range(ncols):
+        comp_cols.setdefault(find(c), []).append(c)
+    for row in sparse_rows:
+        comp_rows.setdefault(find(next(iter(row))), []).append(row)
+    keyed = []
+    for root, cols in comp_cols.items():
+        local = {c: t for t, c in enumerate(cols)}
+        local_rows = [
+            {local[j]: v for j, v in row.items()} for row in comp_rows.get(root, ())
         ]
-    if ncols <= 220 and len(int_rows) <= 600:
-        work = [row[:] for row in int_rows]
-        piv_cols, ech = _bareiss_echelon(work, ncols)
-        basis = _kernel_from_echelon(piv_cols, ech, ncols)
-    else:
-        basis = None
+        for lvec in _component_kernel(local_rows, len(cols)):
+            vec = [_F0] * ncols
+            for t, v in enumerate(lvec):
+                if v:
+                    vec[cols[t]] = v
+                    free = cols[t]
+            keyed.append((free, tuple(vec)))
+    keyed.sort(key=lambda fv: fv[0])
+    basis = [vec for _, vec in keyed]
+    if not _verify_kernel(sparse_rows, basis):
+        raise ArithmeticError("kernel verification failed")
+    return basis
+
+
+def _component_kernel(sparse_rows, ncols):
+    """Kernel of one connected system of nonzero primitive integer rows.
+
+    Small systems take fraction-free elimination; larger ones take modular
+    pivots plus batched p-adic lifting, falling back to elimination when
+    no prime yields a verified basis.  A single column that no row touches
+    comes back as its unit vector.
+    """
+    int_rows = []
+    for row in sparse_rows:
+        dense = [mpz(0)] * ncols
+        for j, v in row.items():
+            dense[j] = mpz(v)
+        int_rows.append(dense)
+    if ncols > 220 or len(int_rows) > 600:
         for p in _PRIMES:
             piv_rows, piv_cols = _modp_pivots(int_rows, ncols, p)
             sub = [int_rows[i] for i in piv_rows]
             try:
                 basis = _kernel_dixon_batched(sub, piv_cols, ncols, p)
             except ArithmeticError:
-                basis = None
                 continue
             if basis is not None and _verify_kernel(sparse_rows, basis):
-                break
-            basis = None
-        if basis is None:
-            work = [row[:] for row in int_rows]
-            piv_cols, ech = _bareiss_echelon(work, ncols)
-            basis = _kernel_from_echelon(piv_cols, ech, ncols)
-    if not _verify_kernel(sparse_rows, basis):
-        raise ArithmeticError("kernel verification failed")
-    return basis
+                return basis
+    piv_cols, ech = _bareiss_echelon(int_rows, ncols)
+    return _kernel_from_echelon(piv_cols, ech, ncols)
 
 
 def _verify_kernel(sparse_rows, basis):
+    """True when every row annihilates every vector of basis exactly.
+
+    A row sharing no column with a vector's support annihilates it as an
+    empty sum, so each vector is multiplied out against the rows that
+    touch its support.
+    """
+    touching = {}
+    for i, row in enumerate(sparse_rows):
+        for j in row:
+            touching.setdefault(j, []).append(i)
     for vec in basis:
+        support = [(j, v) for j, v in enumerate(vec) if v]
         lcm = 1
-        for v in vec:
-            if v:
-                lcm = lcm * v.denominator // _gcd(lcm, v.denominator)
-        ints = [int(v.numerator) * (lcm // v.denominator) for v in vec]
-        for row in sparse_rows:
-            s = 0
-            for j, rv in row.items():
-                vj = ints[j]
-                if vj:
-                    s += rv * vj
-            if s != 0:
+        for _, v in support:
+            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+        ints = {j: int(v.numerator) * (lcm // v.denominator) for j, v in support}
+        hit = set()
+        for j in ints:
+            hit.update(touching.get(j, ()))
+        for i in hit:
+            if sum(rv * ints.get(j, 0) for j, rv in sparse_rows[i].items()):
                 return False
     return True
 
@@ -641,29 +673,19 @@ class _ModPLU:
         self.perm = perm
         self.n = n
 
-    def solve(self, b_mod):
-        import numpy as np
-
-        p, a, n = self.p, self.a, self.n
-        x = b_mod[self.perm].copy()
-        for k in range(n):
-            if x[k]:
-                x[k + 1:] = (x[k + 1:] - a[k + 1:, k] * x[k]) % p
-        for k in range(n - 1, -1, -1):
-            if k + 1 < n:
-                x[k] = (x[k] - int(np.dot(a[k, k + 1:], x[k + 1:]) % p)) % p
-            x[k] = (x[k] * pow(int(a[k, k]), p - 2, p)) % p
-        return x
-
     def solve_matrix(self, b_mod):
         """Forward/back substitution for a matrix of right-hand sides.
 
-        Accumulated dot products stay below 2^62 by reducing every row
-        operation mod p; the column count is assumed modest.
+        Forward steps reduce every row operation mod p.  Back substitution
+        sums up to n products below p^2 in float64, which is exact only
+        while n * p^2 < 2^53; otherwise ArithmeticError, as for a singular
+        factorisation.
         """
         import numpy as np
 
         p, a, n = self.p, self.a, self.n
+        if n * p * p >= 2 ** 53:
+            raise ArithmeticError("float64 back substitution inexact mod p")
         x = b_mod[self.perm].copy()
         for k in range(n):
             row = x[k]
@@ -676,57 +698,6 @@ class _ModPLU:
                 x[k] = (x[k] - acc.astype(np.int64) % p) % p
             x[k] = (x[k] * inv_diag[k]) % p
         return x
-
-
-def _dixon_solve(a_int, lu, b, p, max_steps=20000):
-    """Solve A x = b over Q by p-adic lifting with rational reconstruction."""
-    import numpy as np
-
-    n = len(a_int)
-    a_np = np.array([[int(x) for x in row] for row in a_int], dtype=np.int64)
-    if max(1, max(abs(int(x)) for row in a_int for x in row)) * p * n >= 2 ** 62:
-        a_np = None  # fall back to python-int matvec when overflow possible
-    residual = [mpz(int(v)) for v in b]
-    digits = []
-    pk = mpz(1)
-    step = 0
-    check_at = 8
-    while step < max_steps:
-        b_mod = np.array([int(v % p) for v in residual], dtype=np.int64)
-        x = lu.solve(b_mod)
-        digits.append(x)
-        if a_np is not None:
-            ax = a_np @ x
-            residual = [(residual[i] - mpz(int(ax[i]))) // p for i in range(n)]
-        else:
-            for i in range(n):
-                row = a_int[i]
-                s = residual[i]
-                for j in range(n):
-                    if row[j] and x[j]:
-                        s -= row[j] * mpz(int(x[j]))
-                residual[i] = s // p
-        pk *= p
-        step += 1
-        if step >= check_at or all(v == 0 for v in residual):
-            sol = _reconstruct(digits, pk, p, n)
-            if sol is not None and _check_solution(a_int, sol, b):
-                return sol
-            check_at = max(check_at + 8, int(check_at * 1.6))
-    return None
-
-
-def _reconstruct(digits, pk, p, n):
-    sol = []
-    for i in range(n):
-        v = mpz(0)
-        for x in reversed(digits):
-            v = v * p + int(x[i])
-        r = _rational_reconstruct(v, pk)
-        if r is None:
-            return None
-        sol.append(r)
-    return sol
 
 
 def _rational_reconstruct(a, m):
@@ -749,17 +720,6 @@ def _rational_reconstruct(a, m):
     if (a * s1 - r1) % m != 0:
         return None
     return Fraction(r1, s1)
-
-
-def _check_solution(a_int, sol, b):
-    for i, row in enumerate(a_int):
-        s = _F0
-        for j, rv in enumerate(row):
-            if rv and sol[j]:
-                s += Fraction(int(rv)) * sol[j]
-        if s != Fraction(int(b[i])):
-            return False
-    return True
 
 
 def solve_exact(rows, rhs, ncols):

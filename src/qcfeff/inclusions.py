@@ -124,17 +124,24 @@ class GradedInclusion:
     def project_to_image(self, tvec):
         """Killing-orthogonal projection of a target vector onto phi(g)."""
         if self._proj_data is None:
-            n = self.source.dim
-            gram = [
-                [self.target.killing_vec(self.img[i], self.img[j]) for j in range(n)]
-                for i in range(n)
-            ]
-            self._proj_data = gram
-        gram = self._proj_data
-        rhs = [self.target.killing_vec(gim, tvec) for gim in self.img]
-        x = solve_exact(gram, rhs, self.source.dim)
-        if x is None:
-            raise InclusionError("projection failed: degenerate Gram (bug)")
+            # Killing covectors of the image vectors, and the Gram columns
+            # reduced once; coords then solves gram x = rhs on every call
+            killing = self.target.killing
+            covs = []
+            for gim in self.img:
+                cov = {}
+                for s, a in gim.items():
+                    for t, k in enumerate(killing[s]):
+                        if k:
+                            cov[t] = cov.get(t, _F0) + a * k
+                covs.append(cov)
+            columns = [{i: _pair(cov, gim) for i, cov in enumerate(covs)} for gim in self.img]
+            try:
+                self._proj_data = (covs, SpanSolver(columns))
+            except ValueError:
+                raise InclusionError("projection failed: degenerate Gram (bug)") from None
+        covs, gram = self._proj_data
+        x = gram.coords({i: _pair(cov, tvec) for i, cov in enumerate(covs)})
         return self.apply({i: c for i, c in enumerate(x) if c})
 
     # -- cochain induction --------------------------------------------------
@@ -233,6 +240,11 @@ class GradedInclusion:
                 if val:
                     out.add_term((a, b), self.preimage(val))
         return out
+
+
+def _pair(cov, vec):
+    """Value of a sparse covector on a sparse vector."""
+    return sum((c * vec[t] for t, c in cov.items() if t in vec), _F0)
 
 
 def _sub(u, v):

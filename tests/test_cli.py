@@ -109,3 +109,17 @@ def test_cohomology_exit_zero(tmp_path):
 def test_cohomology_bad_n(tmp_path):
     code = main(["cohomology", "--n", "7"])
     assert code == 3
+
+
+def test_random_metrics_dim2_refused(tmp_path):
+    code, text = _run(tmp_path, "random-metrics", "--dim", "2", "--count", "1")
+    assert code != 0
+    assert text == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_random_metrics_nonfinite_residual_fails():
+    from qcfeff.cli import suite_random_metrics
+
+    _, ok = suite_random_metrics(2, count=1)
+    assert ok is False

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcfeff.exact as exact
 from qcfeff.exact import (
     ExactMatrix,
     Quaternion,
@@ -209,3 +211,78 @@ def test_solve_exact():
     x = solve_exact([[2, 0], [1, 1]], [4, 3], 2)
     assert x == [Fraction(2), Fraction(1)]
     assert solve_exact([[1, 1], [1, 1]], [0, 1], 2) is None
+
+
+def test_kernel_dense_row_length_mismatch():
+    with pytest.raises(ValueError, match="row length mismatch"):
+        kernel_basis([[1, 2, 3]], 2)
+
+
+def test_modp_solve_refuses_inexact_float64():
+    lu = exact._ModPLU([[1, 2], [3, 4]], 2 ** 31 - 1)
+    with pytest.raises(ArithmeticError):
+        lu.solve_matrix(np.zeros((2, 1), dtype=np.int64))
+
+
+def _embed(rows, cols):
+    """Rows over local columns 0..len(cols)-1, placed at global columns cols."""
+    return [{cols[j]: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def _free_col(vec):
+    return max(j for j, x in enumerate(vec) if x)
+
+
+def test_kernel_splits_interleaved_blocks():
+    rng = random.Random(7)
+    ncols = 40
+    perm = list(range(ncols))
+    rng.shuffle(perm)
+    blocks = [sorted(perm[0:12]), sorted(perm[12:22]), sorted(perm[22:35])]
+    untouched = sorted(perm[35:])
+    rows, expect = [], []
+    for cols in blocks:
+        local = [[rng.randint(-3, 3) for _ in cols] for _ in range(len(cols) // 2)]
+        rows += _embed(local, cols)
+        for lvec in kernel_basis(local, len(cols)):
+            vec = [Fraction(0)] * ncols
+            for t, v in enumerate(lvec):
+                vec[cols[t]] = v
+            expect.append(tuple(vec))
+    for c in untouched:
+        expect.append(tuple(Fraction(int(j == c)) for j in range(ncols)))
+    rng.shuffle(rows)
+    expect.sort(key=_free_col)
+    assert kernel_basis(rows, ncols) == expect
+    assert [_free_col(v) for v in expect] == sorted({_free_col(v) for v in expect})
+
+
+def test_kernel_large_component_uses_lifting(monkeypatch):
+    rng = random.Random(8)
+    n, r = 240, 200
+    left = [[rng.randint(-1, 1) for _ in range(r)] for _ in range(n)]
+    right = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(r)]
+    big = [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+    ncols = n + 30
+    cols = sorted(rng.sample(range(ncols), n))
+    rest = [c for c in range(ncols) if c not in set(cols)]
+    rows = _embed(big, cols) + [{a: 1, b: -2} for a, b in zip(rest[0::2], rest[1::2])]
+    lifted = []
+    real = exact._kernel_dixon_batched
+
+    def counting(piv_rows, piv_cols, ncols, p):
+        lifted.append(ncols)
+        return real(piv_rows, piv_cols, ncols, p)
+
+    monkeypatch.setattr(exact, "_kernel_dixon_batched", counting)
+    basis = kernel_basis(rows, ncols)
+    assert lifted == [n]
+    assert len(basis) == (n - r) + len(rest) // 2
+
+
+def test_kernel_certificate_rejects_wrong_vector(monkeypatch):
+    monkeypatch.setattr(
+        exact, "_component_kernel", lambda rows, n: [tuple(Fraction(1) for _ in range(n))]
+    )
+    with pytest.raises(ArithmeticError, match="verification"):
+        kernel_basis([[1, 2], [0, 1]], 2)

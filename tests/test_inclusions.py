@@ -284,3 +284,14 @@ def test_projection_is_killing_orthogonal(inclusions1):
             del rest[k]
     for im in phi1.img:
         assert cr.killing_vec(im, rest) == 0
+
+
+def test_projection_degenerate_gram_raises(inclusions1):
+    import copy
+
+    qc, cr, _, phi1, _, _ = inclusions1
+    broken = copy.copy(phi1)
+    broken.img = [dict(phi1.img[0])] + phi1.img[:-1]
+    broken._proj_data = None
+    with pytest.raises(inc.InclusionError, match="degenerate Gram"):
+        broken.project_to_image({0: F1})
