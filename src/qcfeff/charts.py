@@ -326,29 +326,6 @@ def _dkulkarni(p, dp, g, dg):
     )
 
 
-def curvature_suite(chart, point, order=3) -> CurvatureData:
-    return CurvatureData(chart, point, order)
-
-
-def weyl_divergence_residual(chart, points, order=4):
-    """Worst divergence-identity residual over sample points, plus fits."""
-    worst = 0.0
-    fits = []
-    for pt in points:
-        res, fit = CurvatureData(chart, pt, max(order, 3)).weyl_divergence_residual()
-        worst = max(worst, res)
-        if fit is not None:
-            fits.append(fit)
-    return worst, fits
-
-
-def tractor_derivative(chart, field, point, v, order=3):
-    """The four connection rows for the field's tractor at one point."""
-    curv = CurvatureData(chart, point, max(order, 3))
-    td = TractorData(curv, field, max(order, 3))
-    return td.tractor_derivative_rows(np.asarray(v, float))
-
-
 # ---------------------------------------------------------------------------
 # conformal Killing analysis and adjoint-tractor components
 # ---------------------------------------------------------------------------

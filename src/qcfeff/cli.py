@@ -513,6 +513,9 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        for flag in ("samples", "seeds", "count"):
+            if getattr(args, flag, 1) < 1:
+                raise ValueError("--%s must be at least 1" % flag)
         tol = _parse_tolerances(args.tolerance)
         config = {
             "n": args.n,

@@ -18,7 +18,9 @@ statements are insensitive to these factors.
 from __future__ import annotations
 
 import random
+import weakref
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import kernel_basis
 from .gradedlie import GradedLieAlgebra
@@ -129,9 +131,6 @@ class Cochain:
                 part.add_term(key, {m: c})
         return parts
 
-    def support_degrees(self):
-        return sorted(self.homogeneity_split())
-
     def __eq__(self, o):
         return (
             isinstance(o, Cochain)
@@ -173,12 +172,10 @@ def differential(phi: Cochain) -> Cochain:
     alg = phi.alg
     n = phi.degree
     out = Cochain(alg, n + 1)
-    minus = alg.minus_indices()
-    # bracket-to-minus tables: for each minus index m, pairs (a, b, coeff)
-    br_to = _bracket_to_minus(alg)
+    tables = _tables(alg)
     for key, vec in phi.coeffs.items():
         # first sum: (-1)^i [X_i, phi(rest)]
-        for x in minus:
+        for x in tables.minus:
             ins = _insert_sorted(key, x)
             if ins is None:
                 continue
@@ -190,7 +187,7 @@ def differential(phi: Cochain) -> Cochain:
         for t, mm in enumerate(key):
             rest = key[:t] + key[t + 1:]
             sign_front = (-1) ** t
-            for a, b, c in br_to.get(mm, ()):
+            for a, b, c in tables.br_to_minus.get(mm, ()):
                 if a in rest or b in rest:
                     continue
                 _, t1 = _insert_sorted(rest, a)
@@ -201,37 +198,46 @@ def differential(phi: Cochain) -> Cochain:
     return out
 
 
-def _bracket_to_minus(alg):
-    cache = getattr(alg, "_br_to_minus", None)
-    if cache is not None:
-        return cache
-    minus = alg.minus_indices()
-    table = {}
+class _Tables(NamedTuple):
+    """Structure tables of one algebra that the cochain operators share."""
+
+    minus: list  # minus-basis indices
+    duals: list  # duals[t]: Killing dual of e_minus[t] in p+
+    pos_of: dict  # minus index -> its position t
+    br_to_minus: dict  # minus index m -> [(a, b, c)]: c = [e_a, e_b]_m, a < b
+    pair_brackets: dict  # (s, t), s < t -> {pos: B([e^s, e^t], e_minus[pos])}
+
+
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _tables(alg) -> _Tables:
+    """The tables of alg, built on first use and kept while alg lives."""
+    tables = _TABLES.get(alg)
+    if tables is not None:
+        return tables
+    minus, duals = alg.dual_basis()
+    br_to_minus = {}
     for ia, a in enumerate(minus):
         for b in minus[ia + 1:]:
             for m, c in alg.bracket_indices(a, b).items():
-                table.setdefault(m, []).append((a, b, c))
-    alg._br_to_minus = table
-    return table
-
-
-def _dual_tables(alg):
-    """Cached dual basis and [e_m, e^alpha]_- expansions."""
-    cache = getattr(alg, "_dual_tables", None)
-    if cache is not None:
-        return cache
-    minus, duals = alg.dual_basis()
-    pos_of = {m: t for t, m in enumerate(minus)}
-    lower = []  # lower[t][s] = coeffs of [e_minus_t, e^s]_- over minus positions
-    for m in minus:
-        row = []
-        for dual in duals:
-            br = alg.bracket_vec({m: _F1}, dual)
-            row.append({pos_of[i]: c for i, c in br.items() if alg.degrees[i] < 0})
-        lower.append(row)
-    cache = (minus, duals, pos_of, lower)
-    alg._dual_tables = cache
-    return cache
+                br_to_minus.setdefault(m, []).append((a, b, c))
+    pair_brackets = {}
+    for i in range(len(duals)):
+        for j in range(i + 1, len(duals)):
+            br = alg.bracket_vec(duals[i], duals[j])
+            exp = {}
+            for t, m in enumerate(minus):
+                val = alg.killing_vec(br, {m: _F1})
+                if val:
+                    exp[t] = val
+            if exp:
+                pair_brackets[(i, j)] = exp
+    tables = _Tables(
+        minus, duals, {m: t for t, m in enumerate(minus)}, br_to_minus, pair_brackets
+    )
+    _TABLES[alg] = tables
+    return tables
 
 
 def codifferential_minus(phi: Cochain):
@@ -243,14 +249,15 @@ def codifferential_minus(phi: Cochain):
     if phi.degree != 2:
         raise ValueError("codifferential_minus expects a degree-2 cochain")
     alg = phi.alg
-    minus, duals, pos_of, lower = _dual_tables(alg)
+    tables = _tables(alg)
+    duals, pos_of = tables.duals, tables.pos_of
     part1 = Cochain(alg, 1)
     for (a, b), vec in phi.coeffs.items():
         # X = e_a with alpha = b, and X = e_b with alpha = a (antisymmetry)
         part1.add_term((a,), alg.bracket_vec(vec, duals[pos_of[b]]))
         part1.add_term((b,), alg.bracket_vec(vec, duals[pos_of[a]]), -_F1)
     part2 = Cochain(alg, 1)
-    for t, m in enumerate(minus):
+    for m in tables.minus:
         vec = codiff_part2_at(phi, {m: _F1})
         if vec:
             part2.add_term((m,), vec)
@@ -260,14 +267,14 @@ def codifferential_minus(phi: Cochain):
 def codiff_part2_at(phi: Cochain, yvec):
     """Sum over alpha of phi([Y, e^alpha]_-, e_alpha) for an element Y."""
     alg = phi.alg
-    minus, duals, pos_of, lower = _dual_tables(alg)
+    tables = _tables(alg)
     out = {}
-    for s, dual in enumerate(duals):
+    for s, dual in enumerate(tables.duals):
         br = alg.bracket_vec(yvec, dual)
         br_minus = {i: c for i, c in br.items() if alg.degrees[i] < 0}
         if not br_minus:
             continue
-        vec = phi.eval_vectors(br_minus, {minus[s]: _F1})
+        vec = phi.eval_vectors(br_minus, {tables.minus[s]: _F1})
         for m, c in vec.items():
             acc = out.get(m, _F0) + c
             if acc:
@@ -289,7 +296,8 @@ def _wedge_boundary(alg, n, coeffs):
     ``coeffs``: {increasing minus-position tuple: value vector}; returns
     the same structure for degree n-1.
     """
-    minus, duals, pos_of, lower = _dual_tables(alg)
+    tables = _tables(alg)
+    duals, pair_brackets = tables.duals, tables.pair_brackets
     out = {}
 
     def add(key, vec, scl):
@@ -303,21 +311,6 @@ def _wedge_boundary(alg, n, coeffs):
         if not tgt:
             del out[key]
 
-    # [e^alpha, e^beta] expansion over dual positions: B([.,.], e_gamma)
-    pair_cache = getattr(alg, "_dual_pair_brackets", None)
-    if pair_cache is None:
-        pair_cache = {}
-        for i in range(len(duals)):
-            for j in range(i + 1, len(duals)):
-                br = alg.bracket_vec(duals[i], duals[j])
-                exp = {}
-                for t, m in enumerate(minus):
-                    val = alg.killing_vec(br, {m: _F1})
-                    if val:
-                        exp[t] = val
-                if exp:
-                    pair_cache[(i, j)] = exp
-        alg._dual_pair_brackets = pair_cache
     for key, vec in coeffs.items():
         for t, zi in enumerate(key):
             rest = key[:t] + key[t + 1:]
@@ -329,7 +322,7 @@ def _wedge_boundary(alg, n, coeffs):
                 add(rest, bracket, -sgn)
         for t in range(len(key)):
             for u in range(t + 1, len(key)):
-                exp = pair_cache.get((min(key[t], key[u]), max(key[t], key[u])))
+                exp = pair_brackets.get((min(key[t], key[u]), max(key[t], key[u])))
                 if not exp:
                     continue
                 flip = 1 if key[t] < key[u] else -1
@@ -353,9 +346,9 @@ def codifferential_wedge(phi: Cochain) -> Cochain:
     if n not in (1, 2, 3):
         raise ValueError("wedge codifferential defined for degrees 1..3")
     alg = phi.alg
-    minus, duals, pos_of, lower = _dual_tables(alg)
+    tables = _tables(alg)
     coeffs = {
-        tuple(pos_of[i] for i in key): vec for key, vec in phi.coeffs.items()
+        tuple(tables.pos_of[i] for i in key): vec for key, vec in phi.coeffs.items()
     }
     sign_in = _WEDGE_SIGN[n]
     sign_out = _WEDGE_SIGN.get(n - 1, 1)
@@ -364,7 +357,7 @@ def codifferential_wedge(phi: Cochain) -> Cochain:
     bnd = _wedge_boundary(alg, n, coeffs)
     out = Cochain(alg, n - 1)
     for key, vec in bnd.items():
-        out.add_term(tuple(minus[t] for t in key), vec, _F1 * sign_out)
+        out.add_term(tuple(tables.minus[t] for t in key), vec, _F1 * sign_out)
     return out
 
 
@@ -377,18 +370,16 @@ def bracket_tensor_id(phi: Cochain) -> Cochain:
     if phi.degree != 2:
         raise ValueError("degree-2 cochains only")
     alg = phi.alg
-    minus, duals, pos_of, lower = _dual_tables(alg)
-    _wedge_boundary(alg, 2, {})  # ensures the dual pair brackets are cached
-    pair_cache = alg._dual_pair_brackets
+    tables = _tables(alg)
     out = Cochain(alg, 1)
     for (a, b), vec in phi.coeffs.items():
-        i, j = pos_of[a], pos_of[b]
-        exp = pair_cache.get((min(i, j), max(i, j)))
+        i, j = tables.pos_of[a], tables.pos_of[b]
+        exp = tables.pair_brackets.get((min(i, j), max(i, j)))
         if not exp:
             continue
         flip = 1 if i < j else -1
         for pos, c in exp.items():
-            out.add_term((minus[pos],), vec, c * flip)
+            out.add_term((tables.minus[pos],), vec, c * flip)
     return out
 
 

@@ -722,48 +722,6 @@ def _rational_reconstruct(a, m):
     return Fraction(r1, s1)
 
 
-def solve_exact(rows, rhs, ncols):
-    """One exact solution x of M x = rhs, or None when inconsistent.
-
-    Small dense Fraction elimination; intended for the modest systems in
-    algebra construction (dual bases, membership, grading elements).
-    """
-    m = []
-    for row, r in zip(rows, rhs):
-        if isinstance(row, dict):
-            dense = [_F0] * ncols
-            for j, v in row.items():
-                dense[j] = _frac(v)
-        else:
-            dense = [_frac(v) for v in row]
-        m.append(dense + [_frac(r)])
-    nr = len(m)
-    piv = []
-    r = 0
-    for c in range(ncols):
-        if r >= nr:
-            break
-        sel = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        pivval = m[r][c]
-        m[r] = [v / pivval for v in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, nr):
-        if m[i][ncols] != 0:
-            return None
-    x = [_F0] * ncols
-    for i, c in enumerate(piv):
-        x[c] = m[i][ncols]
-    return x
-
-
 class SpanSolver:
     """Express vectors exactly in the span of a fixed generating set.
 

@@ -27,7 +27,6 @@ from .exact import (
     kernel_basis,
     realify_C,
     realify_H,
-    solve_exact,
 )
 
 _F0 = Fraction(0)
@@ -276,23 +275,15 @@ class GradedLieAlgebra:
         return gram
 
     def _find_grading_element(self):
-        zero_idxs = self.by_degree[0]
-        rows, rhs = [], []
-        for j in range(self.dim):
-            target = {}
-            for t, i in enumerate(zero_idxs):
-                br = self._bracket_table.get((i, j))
-                if br:
-                    for l, c in br.items():
-                        target.setdefault(l, {})[t] = c
-            for l in range(self.dim):
-                row = target.get(l, {})
-                rows.append(row)
-                rhs.append(Fraction(self.degrees[j]) if l == j else _F0)
-        sol = solve_exact(rows, rhs, len(zero_idxs))
-        if sol is None:
-            raise ClosureError("no grading element found")
-        return {zero_idxs[t]: c for t, c in enumerate(sol) if c}
+        ent = {(0, 0): Quaternion(1), (self.m - 1, self.m - 1): Quaternion(-1)}
+        try:
+            elem = self._coords_in_degree(ExactMatrix(self.m, self.m, ent, self.kind), 0)
+        except ValueError as exc:
+            raise ClosureError("grading element outside g_0") from exc
+        for j, deg in enumerate(self.degrees):
+            if self.bracket_vec(elem, {j: _F1}) != ({j: deg} if deg else {}):
+                raise ClosureError("grading element fails [E, e_%d] = deg e_%d" % (j, j))
+        return elem
 
     # -- queries ---------------------------------------------------------
 
@@ -326,9 +317,6 @@ class GradedLieAlgebra:
                     s += a * b * kij
         return s
 
-    def degree_of_index(self, i):
-        return self.degrees[i]
-
     def minus_indices(self):
         return [i for i in range(self.dim) if self.degrees[i] < 0]
 
@@ -337,13 +325,6 @@ class GradedLieAlgebra:
 
     def component(self, vec, deg):
         return {i: c for i, c in vec.items() if self.degrees[i] == deg}
-
-    def ambient_of_vec(self, vec) -> ExactMatrix:
-        n = self.ambient[0].rows
-        out = ExactMatrix.zero(n, n, self.ambient[0].kind)
-        for i, c in vec.items():
-            out = out + self.ambient[i].scale(c)
-        return out
 
     def native_of_vec(self, vec) -> ExactMatrix:
         out = ExactMatrix.zero(self.m, self.m, self.kind)
@@ -368,13 +349,15 @@ class GradedLieAlgebra:
             hi = self.by_degree.get(d, [])
             if len(lo) != len(hi):
                 raise SingularPairingError("unbalanced degree blocks")
-            gram = [[self.killing[a][b] for b in hi] for a in lo]
-            for t, a in enumerate(lo):
-                rhs = [_F1 if s == t else _F0 for s in range(len(lo))]
-                col = solve_exact(gram, rhs, len(hi))
-                if col is None:
-                    raise SingularPairingError("Killing pairing degenerate")
-                duals[pos_of[a]] = {hi[s]: c for s, c in enumerate(col) if c}
+            try:
+                gram = SpanSolver(
+                    [{t: self.killing[a][b] for t, a in enumerate(lo)} for b in hi]
+                )
+                for t, a in enumerate(lo):
+                    col = gram.coords({t: _F1})
+                    duals[pos_of[a]] = {hi[s]: c for s, c in enumerate(col) if c}
+            except ValueError:
+                raise SingularPairingError("Killing pairing degenerate") from None
         self._dual = (minus, duals)
         return self._dual
 

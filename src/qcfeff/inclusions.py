@@ -19,7 +19,7 @@ from .cohomology import (
     codifferential_minus,
     random_cochain,
 )
-from .exact import ExactMatrix, SpanSolver, kernel_basis, solve_exact
+from .exact import ExactMatrix, SpanSolver, kernel_basis
 from .gradedlie import GradedLieAlgebra, matrix_to_coordvec
 
 _F0 = Fraction(0)
@@ -159,13 +159,10 @@ class GradedInclusion:
         tminus = tgt.minus_indices()
         tpos = {t: p for p, t in enumerate(tminus)}
         cols = list(src.minus_indices())
-        vecs = []
         probe = SpanSolver.empty()
         for i in cols:
             neg = self.minus_part({i: _F1})
-            v = {tpos[t]: c for t, c in neg.items()}
-            vecs.append(v)
-            if not probe.append(v):
+            if not probe.append({tpos[t]: c for t, c in neg.items()}):
                 raise InclusionError("phi_- degenerate on g_-")
         # extend with degree-0 complement generators
         complement = []
@@ -173,32 +170,16 @@ class GradedInclusion:
             if len(cols) == len(tminus):
                 break
             neg = self.minus_part({i: _F1})
-            if not neg:
-                continue
-            v = {tpos[t]: c for t, c in neg.items()}
-            if probe.append(v):
+            if probe.append({tpos[t]: c for t, c in neg.items()}):
                 cols.append(i)
-                vecs.append(v)
                 complement.append(i)
         if len(cols) != len(tminus):
             raise InclusionError("phi_- span does not cover target g_-")
-        # invert the square system: xi coordinates for each target minus index
-        rows = []
-        for p in range(len(tminus)):
-            rows.append({c: vecs[c].get(p, _F0) for c in range(len(cols))})
+        # xi_p: coordinates of the p-th target minus basis vector over cols
         xi = []
-        n_minus = len(src.minus_indices())
         for p in range(len(tminus)):
-            rhs = [_F1 if q == p else _F0 for q in range(len(tminus))]
-            sol = solve_exact(
-                [rows[q] for q in range(len(tminus))], rhs, len(cols)
-            )
-            if sol is None:
-                raise InclusionError("xi solve failed")
-            full = {cols[t]: c for t, c in enumerate(sol) if c}
-            minus_only = {
-                i: c for i, c in full.items() if self.source.degrees[i] < 0
-            }
+            full = {cols[t]: c for t, c in enumerate(probe.coords({p: _F1})) if c}
+            minus_only = {i: c for i, c in full.items() if src.degrees[i] < 0}
             xi.append((full, minus_only))
         self._induce_data = (tminus, xi, complement)
         return self._induce_data
@@ -588,21 +569,11 @@ def holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True):
     # change of basis: express the standard target minus basis in the frame
     tminus = co.minus_indices()
     tpos = {t: p for p, t in enumerate(tminus)}
-    frame_rows = []
-    for v in frame:
-        frame_rows.append({tpos[t]: c for t, c in v.items()})
-    inv = []
-    for p in range(len(tminus)):
-        rhs = [_F1 if q == p else _F0 for q in range(len(tminus))]
-        sol = solve_exact(
-            [
-                {c: frame_rows[c].get(q, _F0) for c in range(len(frame))}
-                for q in range(len(tminus))
-            ],
-            rhs,
-            len(frame),
-        )
-        inv.append(sol)
+    try:
+        frame_solver = SpanSolver([{tpos[t]: c for t, c in v.items()} for v in frame])
+        inv = [frame_solver.coords({p: _F1}) for p in range(len(tminus))]
+    except ValueError:
+        raise InclusionError("adapted minus frame is degenerate") from None
     # columns: (pair of qc minus positions, value index in g_qc)
     cols = [(key, v) for key in pair_keys for v in range(qc.dim)]
 
@@ -645,21 +616,6 @@ def holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True):
             if c:
                 coch = coch + col_cochains[t].scale(c)
         out.append(coch)
-    return out
-
-
-def quaternion_structure_map(alg, unit):
-    """The map e_a -> q * e_a on the degree -1 entry coordinates.
-
-    Entry labels are conjugate to the matrix-form labels, so this is
-    right multiplication on the stored entries; it is the complex
-    structure the quaternionic trace constraints refer to.
-    """
-    out = {}
-    for a in alg.by_degree[-1]:
-        ia = _entry_right_mult(alg, a, unit)
-        if ia is not None:
-            out[a] = ia
     return out
 
 

@@ -85,13 +85,6 @@ class JetSpace:
         np.add.at(out, self._mul_k, ca[self._mul_i] * cb[self._mul_j])
         return out
 
-    def array_mul(self, A, B):
-        """Jet product over the trailing axis for broadcastable arrays."""
-        prod = A[..., self._mul_i] * B[..., self._mul_j]
-        out = np.zeros(np.broadcast(A[..., 0], B[..., 0]).shape + (self.size,))
-        np.add.at(out, (..., self._mul_k), prod)
-        return out
-
     def deriv(self, coef, v):
         src, dst, fac = self._deriv[v]
         out = np.zeros(coef.shape[:-1] + (self.size,))

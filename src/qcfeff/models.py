@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .charts import MetricChart, VectorFieldOnChart
-from .exact import Q_UNITS, Quaternion
+from .exact import Q_UNITS
 
 _UNIT_NAMES = ("1", "i", "j", "k")
 
@@ -41,27 +41,12 @@ def _unit_mult_table():
 _MULT = _unit_mult_table()
 
 
-def _im_s(q: Quaternion, s: int) -> float:
-    return float(q.comps[s])
-
-
 def _left_mult_matrix(unit_idx: int) -> np.ndarray:
     """4x4 real matrix of left multiplication by the unit quaternion."""
     m = np.zeros((4, 4))
     for mu in range(4):
         sign, nu = _MULT[unit_idx][mu]
         m[nu, mu] = sign
-    return m
-
-
-def _right_mult_matrix(unit_idx: int) -> np.ndarray:
-    m = np.zeros((4, 4))
-    for mu in range(4):
-        prod = Q_UNITS[_UNIT_NAMES[mu]] * Q_UNITS[_UNIT_NAMES[unit_idx]]
-        for nu, comp in enumerate(prod.comps):
-            if comp:
-                m[nu, mu] = float(comp)
-                break
     return m
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,10 @@ def _run(tmp_path, *args):
     code = main(list(args) + ["--out", str(out)])
     text = out.read_text() if out.exists() else ""
     return code, text
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_random_metrics_pass(tmp_path):
@@ -104,6 +109,19 @@ def test_cohomology_exit_zero(tmp_path):
     assert all(d == 0 for l, d in h1.items() if l >= 0)
     h2 = {r["homogeneity"]: r["dim"] for r in rep["results"]["harmonic_h2"]}
     assert h2[1] > 0 and h2[2] > 0
+    assert _sha256(text) == (
+        "b592c7cc9e523911949e365e983dff20978a6b8300b2c680035542e1ce0d72f1"
+    )
+
+
+def test_inclusions_report_bytes_pinned(tmp_path):
+    code, text = _run(
+        tmp_path, "inclusions", "--n", "1", "--seeds", "2", "--negative-controls"
+    )
+    assert code == 0
+    assert _sha256(text) == (
+        "0736d62a04ff2f4fea48b25deab15d6079d6b3b4ddb5619b46cb15a368635239"
+    )
 
 
 def test_cohomology_bad_n(tmp_path):
@@ -115,6 +133,14 @@ def test_random_metrics_dim2_refused(tmp_path):
     code, text = _run(tmp_path, "random-metrics", "--dim", "2", "--count", "1")
     assert code != 0
     assert text == ""
+    for args in (
+        ("inclusions", "--n", "1", "--seeds", "0"),
+        ("random-metrics", "--count", "0"),
+        ("model", "--samples", "0"),
+    ):
+        code, text = _run(tmp_path, *args)
+        assert code == 3
+        assert text == ""
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

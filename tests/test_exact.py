@@ -13,10 +13,10 @@ from qcfeff.exact import (
     Q_I,
     Q_J,
     Q_K,
+    SpanSolver,
     kernel_basis,
     realify_C,
     realify_H,
-    solve_exact,
 )
 
 fracs = st.fractions(
@@ -207,10 +207,13 @@ def test_kernel_sparse_dict_rows():
     assert basis[0][0] == basis[0][2] and basis[0][1] == 0
 
 
-def test_solve_exact():
-    x = solve_exact([[2, 0], [1, 1]], [4, 3], 2)
-    assert x == [Fraction(2), Fraction(1)]
-    assert solve_exact([[1, 1], [1, 1]], [0, 1], 2) is None
+def test_span_solver():
+    # the columns of [[2, 0], [1, 1]]: 2 * (2, 1) + 1 * (0, 1) = (4, 3)
+    assert SpanSolver([{0: 2, 1: 1}, {1: 1}]).coords({0: 4, 1: 3}) == [2, 1]
+    with pytest.raises(ValueError, match="linearly dependent"):
+        SpanSolver([{0: 1, 1: 1}, {0: 2, 1: 2}])
+    with pytest.raises(ValueError, match="not in span"):
+        SpanSolver([{0: 1, 1: 1}]).coords({0: 0, 1: 1})
 
 
 def test_kernel_dense_row_length_mismatch():

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from qcfeff.exact import solve_exact
 from qcfeff.gradedlie import (
+    ClosureError,
+    SingularPairingError,
     build_co,
     build_cr,
     build_qc,
@@ -134,16 +135,26 @@ def test_dual_basis_permutation_equivariance(chain1):
     qc, _, _ = chain1
     minus, duals = qc.dual_basis()
     perm = list(range(len(minus)))[::-1]
-    # recompute duals against the permuted minus enumeration
-    for t_new, t_old in enumerate(perm):
+    # the defining property B(e_b, dual(e_a)) = delta_ab, in permuted order
+    for t_old in perm:
         a = minus[t_old]
-        d = qc.degrees[a]
-        hi = qc.by_degree[-d]
-        gram = [[qc.killing[b][h] for h in hi] for b in qc.by_degree[d]]
-        rhs = [F1 if b == a else Fraction(0) for b in qc.by_degree[d]]
-        col = solve_exact(gram, rhs, len(hi))
-        got = {hi[s]: c for s, c in enumerate(col) if c}
-        assert got == duals[t_old]
+        for b in qc.by_degree[qc.degrees[a]]:
+            assert qc.killing_vec({b: F1}, duals[t_old]) == (F1 if b == a else 0)
+
+
+def test_dual_basis_singular_pairing():
+    qc = build_qc(1)
+    qc.killing[qc.minus_indices()[0]] = [Fraction(0)] * qc.dim
+    qc._dual = None
+    with pytest.raises(SingularPairingError):
+        qc.dual_basis()
+
+
+def test_grading_element_checked_against_degrees():
+    qc = build_qc(1)
+    qc.degrees[0] += 1
+    with pytest.raises(ClosureError):
+        qc._find_grading_element()
 
 
 def test_grading_element_action(chain1):
