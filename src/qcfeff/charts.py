@@ -27,12 +27,34 @@ import numpy as np
 from .jets import Jet, jet_space, jet_variables
 
 
+# candidates per draw in MetricChart.sample_points; a 14-dimensional ball
+# keeps about one cube point in 27,000
+_SAMPLE_BATCH = 4096
+
+
 class ChartError(RuntimeError):
     pass
 
 
 class NotConformalKilling(ChartError):
     pass
+
+
+def worst(values):
+    """The largest of some non-negative residuals, failing closed.
+
+    A plain max() keeps its running value when a later one is NaN
+    (max(0.0, nan) is 0.0); here a NaN anywhere makes the result NaN,
+    so every ``worst(...) < tol`` test on it fails.
+    """
+    out = 0.0
+    for v in values:
+        v = float(v)
+        if math.isnan(v):
+            return v
+        if v > out:
+            out = v
+    return out
 
 
 class MetricChart:
@@ -47,12 +69,25 @@ class MetricChart:
         self.radius = radius
 
     def sample_points(self, count, seed=0):
+        """``count`` points of the ball of radius 0.9 * radius about the center.
+
+        Candidates u are drawn from the unit cube and kept when
+        u.u <= 1.  They are drawn in batches from one generator, which
+        yields the same numbers as one draw at a time; a vectorised norm
+        with slack for rounding picks the rows that get the exact test,
+        so the points are those of the one-at-a-time loop.
+        """
         rng = np.random.default_rng(seed)
         pts = []
         while len(pts) < count:
-            u = rng.uniform(-1.0, 1.0, self.dim)
-            if float(np.dot(u, u)) <= 1.0:
-                pts.append(self.center + 0.9 * self.radius * u)
+            batch = rng.uniform(-1.0, 1.0, (_SAMPLE_BATCH, self.dim))
+            near = np.einsum("ij,ij->i", batch, batch) <= 1.0 + 1e-9
+            for i in np.flatnonzero(near):
+                u = batch[i]
+                if float(np.dot(u, u)) <= 1.0:
+                    pts.append(self.center + 0.9 * self.radius * u)
+                    if len(pts) == count:
+                        break
         return pts
 
     def metric_jets(self, point, order):
@@ -131,24 +166,6 @@ class VectorFieldOnChart:
         )
 
 
-def _deriv_index_arrays(sp, r):
-    """Index and factorial arrays turning jet coefficients into d^r tensors."""
-    m = sp.num_vars
-    shape = (m,) * r
-    pos = np.zeros(shape, dtype=np.intp)
-    fac = np.zeros(shape)
-    for idx in np.ndindex(shape):
-        alpha = [0] * m
-        for c in idx:
-            alpha[c] += 1
-        pos[idx] = sp.position[tuple(alpha)]
-        f = 1.0
-        for a in alpha:
-            f *= math.factorial(a)
-        fac[idx] = f
-    return pos, fac
-
-
 class CurvatureData:
     """Curvature tensors of a chart metric at one point."""
 
@@ -163,15 +180,9 @@ class CurvatureData:
         self.g = jets[:, :, 0].copy()
         if abs(np.linalg.det(self.g)) < 1e-12:
             raise ChartError("metric degenerate at sample point")
-        p1, f1 = _deriv_index_arrays(sp, 1)
-        self.dg = jets[:, :, p1] * f1
-        p2, f2 = _deriv_index_arrays(sp, 2)
-        self.d2g = jets[:, :, p2] * f2
-        if order >= 3:
-            p3, f3 = _deriv_index_arrays(sp, 3)
-            self.d3g = jets[:, :, p3] * f3
-        else:
-            self.d3g = None
+        self.dg = sp.derivative_tensor(jets, 1)
+        self.d2g = sp.derivative_tensor(jets, 2)
+        self.d3g = sp.derivative_tensor(jets, 3) if order >= 3 else None
         self.ginv = np.linalg.inv(self.g)
         self._build()
 
@@ -256,23 +267,9 @@ class CurvatureData:
                 - np.einsum("ecb,ae->cab", gam, self.P)
             )
             self.cotton = self.covP - np.einsum("cab->acb", self.covP)
-            self.dr4 = np.einsum("tae,azxy->xyzte", dg, self.riem) + np.einsum(
-                "ta,azxye->xyzte", g, driem
-            )
-            self.dweyl = self.dr4 - _dkulkarni(self.P, self.dP, g, dg)
-            covw = np.einsum("xyzte->exyzt", self.dweyl)
-            covw = (
-                covw
-                - np.einsum("fex,fyzt->exyzt", gam.transpose((0, 2, 1)), self.weyl)
-                - np.einsum("fey,xfzt->exyzt", gam.transpose((0, 2, 1)), self.weyl)
-                - np.einsum("fez,xyft->exyzt", gam.transpose((0, 2, 1)), self.weyl)
-                - np.einsum("fet,xyzf->exyzt", gam.transpose((0, 2, 1)), self.weyl)
-            )
-            self.covW = covw
         else:
             self.covP = None
             self.cotton = None
-            self.covW = None
 
     # -- residuals ----------------------------------------------------------
 
@@ -282,16 +279,33 @@ class CurvatureData:
 
     def weyl_trace_residual(self):
         scale = 1.0 + float(np.max(np.abs(self.weyl)))
-        worst = 0.0
-        for spec in ("xz,xyzt->yt", "xt,xyzt->yz", "yt,xyzt->xz", "xy,xyzt->zt"):
-            tr = np.einsum(spec, self.ginv, self.weyl)
-            worst = max(worst, float(np.max(np.abs(tr))))
-        return worst / scale
+        specs = ("xz,xyzt->yt", "xt,xyzt->yz", "yt,xyzt->xz", "xy,xyzt->zt")
+        return worst(
+            np.max(np.abs(np.einsum(spec, self.ginv, self.weyl))) for spec in specs
+        ) / scale
 
     def weyl_divergence(self):
-        if self.covW is None:
+        """g^{et} (nabla_e W)(x, y, z, t).
+
+        The covariant derivative of the Weyl tensor is an m^5 array that
+        only this check reads, so it is built here, not with the rest.
+        """
+        if self.d2gamma is None:
             raise ChartError("needs metric jets to order >= 3")
-        return np.einsum("et,exyzt->xyz", self.ginv, self.covW)
+        g, dg, weyl = self.g, self.dg, self.weyl
+        gam_t = self.gamma.transpose((0, 2, 1))
+        dr4 = np.einsum("tae,azxy->xyzte", dg, self.riem) + np.einsum(
+            "ta,azxye->xyzte", g, self.driem
+        )
+        dweyl = dr4 - _dkulkarni(self.P, self.dP, g, dg)
+        covw = (
+            np.einsum("xyzte->exyzt", dweyl)
+            - np.einsum("fex,fyzt->exyzt", gam_t, weyl)
+            - np.einsum("fey,xfzt->exyzt", gam_t, weyl)
+            - np.einsum("fez,xyft->exyzt", gam_t, weyl)
+            - np.einsum("fet,xyzf->exyzt", gam_t, weyl)
+        )
+        return np.einsum("et,exyzt->xyz", self.ginv, covw)
 
     def weyl_divergence_residual(self):
         """Residual against (3-m) Cotton, plus the empirically fitted factor."""
@@ -341,15 +355,9 @@ class TractorData:
         sp = jet_space(m, order)
         kj = field.jets(curv.point, order)
         self.k = kj[:, 0].copy()
-        p1, f1 = _deriv_index_arrays(sp, 1)
-        self.dk = kj[:, p1] * f1
-        p2, f2 = _deriv_index_arrays(sp, 2)
-        self.d2k = kj[:, p2] * f2
-        if order >= 3:
-            p3, f3 = _deriv_index_arrays(sp, 3)
-            self.d3k = kj[:, p3] * f3
-        else:
-            self.d3k = None
+        self.dk = sp.derivative_tensor(kj, 1)
+        self.d2k = sp.derivative_tensor(kj, 2)
+        self.d3k = sp.derivative_tensor(kj, 3) if order >= 3 else None
         self._build()
 
     def _build(self):
@@ -462,17 +470,18 @@ class TractorData:
 
     def tractor_residual(self, v):
         r1, r2, r3, r4 = self.tractor_derivative_rows(v)
-        return max(
-            float(np.max(np.abs(r1))),
-            abs(r2),
-            float(np.max(np.abs(r3))),
-            float(np.max(np.abs(r4))),
-        )
+        return worst((np.max(np.abs(r1)), abs(r2), np.max(np.abs(r3)), np.max(np.abs(r4))))
+
+
+def _tractors_at(chart, fields, point, order=3):
+    """One TractorData per field, all sharing one CurvatureData of the point."""
+    curv = CurvatureData(chart, point, order)
+    return [TractorData(curv, field, order) for field in fields]
 
 
 def conformal_killing_residual(chart, field, point, order=3):
-    curv = CurvatureData(chart, point, max(order, 3))
-    td = TractorData(curv, field, max(order, 3))
+    """(killing_residual, lam) of TractorData: L_k g - lam g, normalized."""
+    (td,) = _tractors_at(chart, (field,), point, max(order, 3))
     return td.killing_residual, td.lam
 
 
@@ -505,50 +514,45 @@ def second_derivative_identity_residual(td: TractorData):
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def sparling_invariants(chart, k1, k2, points, order=3, tol_pre=1e-8):
-    """The quaternionic Sparling scalars chi, beta_i and the third field.
+def sparling_scalars(t1: TractorData, t2: TractorData, tol_pre=1e-8):
+    """(chi, beta1, beta2, beta3, alpha3, k3) of two fields at one point.
 
-    Checks the light-like/orthogonal/conformal-Killing preconditions at
-    each point, evaluates all scalars, and reports their constancy.
+    Both tractors share one CurvatureData.  Raises unless both fields
+    are conformal Killing and light-like there and the two are
+    orthogonal.
     """
-    chis, b1s, b2s, b3s, a3s = [], [], [], [], []
-    k3vals = []
-    for pt in points:
-        curv = CurvatureData(chart, pt, order)
-        t1 = TractorData(curv, k1, order)
-        t2 = TractorData(curv, k2, order)
-        for td, lbl in ((t1, k1.label), (t2, k2.label)):
-            if td.killing_residual > tol_pre:
-                raise NotConformalKilling("%s at %s" % (lbl, pt))
-            if abs(float(td.k @ curv.g @ td.k)) > tol_pre:
-                raise ChartError("field %s not light-like" % lbl)
-        if abs(float(t1.k @ curv.g @ t2.k)) > tol_pre:
-            raise ChartError("fields not orthogonal")
-        chi = (
-            float(t1.k @ curv.P @ t2.k)
-            + t1.alpha * t2.alpha
-            - 0.5 * float(np.dot(t1.k, t2.dalpha))
-            - 0.5 * float(np.dot(t2.k, t1.dalpha))
-        )
-        chis.append(chi)
-        k3 = t1.K @ t2.k - t2.alpha * t1.k
-        k3vals.append(k3)
-        lam3 = float(np.dot(t2.k, t1.dalpha)) - float(np.dot(t1.k, t2.dalpha))
-        a3 = lam3 / 2.0
-        a3s.append(a3)
-        b1s.append(
-            float(t1.k @ curv.P @ t1.k) + t1.alpha ** 2 - float(np.dot(t1.k, t1.dalpha))
-        )
-        b2s.append(
-            float(t2.k @ curv.P @ t2.k) + t2.alpha ** 2 - float(np.dot(t2.k, t2.dalpha))
-        )
-        da3 = 0.5 * (
-            np.einsum("ea,e->a", t2.dk, t1.dalpha)
-            + np.einsum("e,ea->a", t2.k, t1.d2alpha)
-            - np.einsum("ea,e->a", t1.dk, t2.dalpha)
-            - np.einsum("e,ea->a", t1.k, t2.d2alpha)
-        )
-        b3s.append(float(k3 @ curv.P @ k3) + a3 ** 2 - float(np.dot(k3, da3)))
+    curv = t1.curv
+    for td in (t1, t2):
+        if td.killing_residual > tol_pre:
+            raise NotConformalKilling("%s at %s" % (td.field.label, curv.point))
+        if abs(float(td.k @ curv.g @ td.k)) > tol_pre:
+            raise ChartError("field %s not light-like" % td.field.label)
+    if abs(float(t1.k @ curv.g @ t2.k)) > tol_pre:
+        raise ChartError("fields not orthogonal")
+    chi = (
+        float(t1.k @ curv.P @ t2.k)
+        + t1.alpha * t2.alpha
+        - 0.5 * float(np.dot(t1.k, t2.dalpha))
+        - 0.5 * float(np.dot(t2.k, t1.dalpha))
+    )
+    k3 = t1.K @ t2.k - t2.alpha * t1.k
+    lam3 = float(np.dot(t2.k, t1.dalpha)) - float(np.dot(t1.k, t2.dalpha))
+    a3 = lam3 / 2.0
+    b1 = float(t1.k @ curv.P @ t1.k) + t1.alpha ** 2 - float(np.dot(t1.k, t1.dalpha))
+    b2 = float(t2.k @ curv.P @ t2.k) + t2.alpha ** 2 - float(np.dot(t2.k, t2.dalpha))
+    da3 = 0.5 * (
+        np.einsum("ea,e->a", t2.dk, t1.dalpha)
+        + np.einsum("e,ea->a", t2.k, t1.d2alpha)
+        - np.einsum("ea,e->a", t1.dk, t2.dalpha)
+        - np.einsum("e,ea->a", t1.k, t2.d2alpha)
+    )
+    b3 = float(k3 @ curv.P @ k3) + a3 ** 2 - float(np.dot(k3, da3))
+    return chi, b1, b2, b3, a3, k3
+
+
+def sparling_summary(rows):
+    """Constancy report of the sparling_scalars rows of several points."""
+    chis, b1s, b2s, b3s, a3s, k3vals = zip(*rows)
 
     def stats(vals):
         arr = np.array(vals)
@@ -563,11 +567,46 @@ def sparling_invariants(chart, k1, k2, points, order=3, tol_pre=1e-8):
         "beta2": stats(b2s),
         "beta3": stats(b3s),
         "alpha3": stats(a3s),
-        "k3_values": k3vals,
+        "k3_values": list(k3vals),
         "beta_product_residual": float(
             np.max(np.abs(np.array(b1s) * np.array(b2s) + np.array(b3s)))
         ),
     }
+
+
+def sparling_invariants(chart, k1, k2, points, order=3, tol_pre=1e-8):
+    """The quaternionic Sparling scalars chi, beta_i and the third field.
+
+    Checks the light-like/orthogonal/conformal-Killing preconditions at
+    each point, evaluates all scalars, and reports their constancy.
+    """
+    rows = [
+        sparling_scalars(*_tractors_at(chart, (k1, k2), pt, order), tol_pre)
+        for pt in points
+    ]
+    return sparling_summary(rows)
+
+
+_FELIPE_KEYS = ("eigen_k", "eigen_gamma", "normalization", "complex_structure")
+
+
+def felipe_residuals(td: TractorData):
+    """Eigenvector/normalization/complex-structure residuals at one point.
+
+    ``td`` is the tractor of a field already rescaled to beta = -1.
+    """
+    curv = td.curv
+    a = td.alpha
+    r_k = np.max(np.abs(td.K @ td.k - a * td.k))
+    gsharp = curv.ginv @ td.gamma1
+    r_g = np.max(np.abs(td.K @ (-gsharp) - a * (-gsharp)))
+    r_n = abs(float(np.dot(td.gamma1, td.k)) + a * a + 1.0)
+    # complement of span(k, gamma_sharp) w.r.t. f-orthogonality
+    rows = np.vstack([curv.g @ td.k, td.gamma1])
+    _, _, vt = np.linalg.svd(rows)
+    ksq = td.K @ td.K + np.eye(curv.m)
+    r_c = worst(np.max(np.abs(ksq @ u)) for u in vt[2:])
+    return dict(zip(_FELIPE_KEYS, (float(r_k), float(r_g), float(r_n), r_c)))
 
 
 def felipe_conditions(chart, field, points, beta, tol=1e-8):
@@ -579,35 +618,15 @@ def felipe_conditions(chart, field, points, beta, tol=1e-8):
     if beta >= 0:
         raise ChartError("beta must be negative")
     knorm = field.scaled(1.0 / math.sqrt(-beta))
-    report = {"eigen_k": 0.0, "eigen_gamma": 0.0, "normalization": 0.0, "complex_structure": 0.0}
-    for pt in points:
-        curv = CurvatureData(chart, pt, 3)
-        td = TractorData(curv, knorm, 3)
-        a = td.alpha
-        r_k = np.max(np.abs(td.K @ td.k - a * td.k))
-        gsharp = curv.ginv @ td.gamma1
-        r_g = np.max(np.abs(td.K @ (-gsharp) - a * (-gsharp)))
-        r_n = abs(float(np.dot(td.gamma1, td.k)) + a * a + 1.0)
-        # complement of span(k, gamma_sharp) w.r.t. f-orthogonality
-        rows = np.vstack([curv.g @ td.k, td.gamma1])
-        _, _, vt = np.linalg.svd(rows)
-        h_basis = vt[2:]
-        ksq = td.K @ td.K + np.eye(curv.m)
-        r_c = max(
-            (float(np.max(np.abs(ksq @ u))) for u in h_basis), default=0.0
-        )
-        report["eigen_k"] = max(report["eigen_k"], float(r_k))
-        report["eigen_gamma"] = max(report["eigen_gamma"], float(r_g))
-        report["normalization"] = max(report["normalization"], float(r_n))
-        report["complex_structure"] = max(report["complex_structure"], float(r_c))
-    report["pass"] = all(v <= tol for k, v in report.items() if k != "pass")
+    rows = [felipe_residuals(*_tractors_at(chart, (knorm,), pt)) for pt in points]
+    report = {key: worst(r[key] for r in rows) for key in _FELIPE_KEYS}
+    report["pass"] = all(v <= tol for v in report.values())
     return report
 
 
-def trace_contraction_check(chart, field, point, order=3):
+def trace_contractions(td: TractorData):
     """Frame traces of the curvature against the derivative of a Killing field."""
-    curv = CurvatureData(chart, point, order)
-    td = TractorData(curv, field, order)
+    curv = td.curv
     w_tr = np.einsum("xyuv,xb,by->uv", curv.weyl, td.nk, curv.ginv)
     c_tr = np.einsum("xyu,xb,by->u", curv.cotton, td.nk, curv.ginv)
     k_w = np.einsum("xyzt,x->yzt", curv.weyl, td.k)
@@ -618,12 +637,14 @@ def trace_contraction_check(chart, field, point, order=3):
         "weyl_trace": float(np.max(np.abs(w_tr))) / scale,
         "cotton_trace": float(np.max(np.abs(c_tr))) / scale,
         "k_into_weyl": float(np.max(np.abs(k_w))) / scale,
-        "k_into_cotton": max(
-            float(np.max(np.abs(k_c1))), float(np.max(np.abs(k_c3)))
-        )
-        / scale,
+        "k_into_cotton": worst((np.max(np.abs(k_c1)), np.max(np.abs(k_c3)))) / scale,
         "alpha": td.alpha,
     }
+
+
+def trace_contraction_check(chart, field, point, order=3):
+    """trace_contractions of a field at a point of a chart."""
+    return trace_contractions(*_tractors_at(chart, (field,), point, order))
 
 
 def pseudo_orthonormal_frame(g, pivot_tol=1e-8):

@@ -228,6 +228,68 @@ def suite_inclusions(n, seeds=100, negative_controls=False, full=False, progress
     return results, ok
 
 
+def _quadric_point(chart, fields, point, killing_check, seed):
+    """Every per-point figure of the quadric suite from one geometry evaluation.
+
+    One CurvatureData and one TractorData per field serve every check;
+    k3's tractor is built only when ``killing_check`` asks for the
+    three fields' Killing residuals.  Returns {figure: list of
+    residuals}, plus the Sparling scalars and k3's chart value, and
+    drops the tensors on return.
+    """
+    from . import charts as ch
+
+    k1, k2, k3 = fields
+    g = chart.metric_at(point)
+    v1, v2 = k1.values(point), k2.values(point)
+    curv = ch.CurvatureData(chart, point, 3)
+    t1 = ch.TractorData(curv, k1, 3)
+    t2 = ch.TractorData(curv, k2, 3)
+    killing = []
+    if killing_check:
+        t3 = ch.TractorData(curv, k3, 3)
+        killing = [t.killing_residual for t in (t1, t2, t3)]
+    tc = ch.trace_contractions(t1)
+    rng = np.random.default_rng(seed + 17)
+    return {
+        "lightlike": [abs(float(v @ g @ v)) for v in (v1, v2)],
+        "orthogonal": [abs(float(v1 @ g @ v2))],
+        "killing": killing,
+        "weyl": [float(np.max(np.abs(curv.weyl)))],
+        "insertions": [tc["k_into_weyl"], tc["k_into_cotton"]],
+        "tractor_rows": [
+            t1.tractor_residual(rng.uniform(-1, 1, chart.dim)) for _ in range(3)
+        ],
+        "second_derivative_identity": [ch.second_derivative_identity_residual(t1)],
+        "sparling": ch.sparling_scalars(t1, t2),
+        "k3_model": k3.values(point),
+    }
+
+
+def _fefferman_point(chart, fields, point):
+    """Weyl size and the vertical fields' residuals from one geometry evaluation."""
+    from . import charts as ch
+
+    g = chart.metric_at(point)
+    curv = ch.CurvatureData(chart, point, 3)
+    light, killing = [], []
+    for fld in fields:
+        v = fld.values(point)
+        light.append(abs(float(v @ g @ v)))
+        killing.append(ch.TractorData(curv, fld, 3).killing_residual)
+    return {
+        "weyl": [float(np.max(np.abs(curv.weyl)))],
+        "lightlike": light,
+        "killing": killing,
+    }
+
+
+def _worst_of(rows, key):
+    from .charts import worst
+
+    return worst(x for row in rows for x in row[key])
+
+
 def suite_model(n, samples=20, seed=0, metric="quadric", rescale_seed=None, tol=None):
     from . import charts as ch
     from . import models as mo
@@ -238,41 +300,24 @@ def suite_model(n, samples=20, seed=0, metric="quadric", rescale_seed=None, tol=
     if metric == "quadric":
         chart, k1, k2, k3 = mo.quadric_model(n)
         pts = chart.sample_points(samples, seed)
-        g0 = chart.metric_at(pts[0])
-        light = max(
-            abs(float(k.values(p) @ chart.metric_at(p) @ k.values(p)))
-            for k in (k1, k2)
-            for p in pts
-        )
-        orth = max(
-            abs(float(k1.values(p) @ chart.metric_at(p) @ k2.values(p))) for p in pts
-        )
-        killing = max(
-            ch.conformal_killing_residual(chart, k, p)[0]
-            for k in (k1, k2, k3)
-            for p in pts[: max(4, samples // 4)]
-        )
+        killing_pts = max(4, samples // 4)
+        rows = [
+            _quadric_point(chart, (k1, k2, k3), p, i < killing_pts, seed)
+            for i, p in enumerate(pts)
+        ]
+        light = _worst_of(rows, "lightlike")
+        orth = _worst_of(rows, "orthogonal")
+        killing = _worst_of(rows, "killing")
         results["lightlike"] = light
         results["orthogonal"] = orth
         results["killing"] = killing
         ok &= light < tol["lightlike"] and orth < tol["orthogonal"]
         ok &= killing < tol["killing"]
 
-        weyl_max = 0.0
-        insert_max = 0.0
-        tr_rows = 0.0
-        secder = 0.0
-        for p in pts:
-            curv = ch.CurvatureData(chart, p, 3)
-            weyl_max = max(weyl_max, float(np.max(np.abs(curv.weyl))))
-            tc = ch.trace_contraction_check(chart, k1, p)
-            insert_max = max(insert_max, tc["k_into_weyl"], tc["k_into_cotton"])
-            td = ch.TractorData(curv, k1, 3)
-            rng = np.random.default_rng(seed + 17)
-            for _ in range(3):
-                v = rng.uniform(-1, 1, chart.dim)
-                tr_rows = max(tr_rows, td.tractor_residual(v))
-            secder = max(secder, ch.second_derivative_identity_residual(td))
+        weyl_max = _worst_of(rows, "weyl")
+        insert_max = _worst_of(rows, "insertions")
+        tr_rows = _worst_of(rows, "tractor_rows")
+        secder = _worst_of(rows, "second_derivative_identity")
         results["weyl"] = weyl_max
         results["insertions"] = insert_max
         results["tractor_rows"] = tr_rows
@@ -282,7 +327,7 @@ def suite_model(n, samples=20, seed=0, metric="quadric", rescale_seed=None, tol=
         ok &= tr_rows < tol["tractor_rows"]
         ok &= secder < tol["second_derivative"]
 
-        sp = ch.sparling_invariants(chart, k1, k2, pts)
+        sp = ch.sparling_summary([row["sparling"] for row in rows])
         results["chi"] = sp["chi"]
         results["betas"] = {
             "beta1": sp["beta1"],
@@ -298,18 +343,18 @@ def suite_model(n, samples=20, seed=0, metric="quadric", rescale_seed=None, tol=
         ok &= chi_ok and betas_ok
         ok &= sp["beta_product_residual"] < tol["beta_product"]
 
-        k3_model = [k3.values(p) for p in pts]
+        k3_model = [row["k3_model"] for row in rows]
         num = sum(float(a @ b) for a, b in zip(sp["k3_values"], k3_model))
         den = sum(float(b @ b) for b in k3_model)
         scale = num / den
-        k3_res = max(
-            float(np.max(np.abs(a - scale * b)))
-            for a, b in zip(sp["k3_values"], k3_model)
+        k3_res = ch.worst(
+            np.max(np.abs(a - scale * b)) for a, b in zip(sp["k3_values"], k3_model)
         )
         results["k3_scale"] = scale
         results["k3_match"] = k3_res
         ok &= k3_res < tol["k3_match"]
 
+        # the only repeat builds: beta1's mean over every point rescales k1
         fel = ch.felipe_conditions(chart, k1, pts[:4], sp["beta1"]["mean"], tol["felipe"])
         results["felipe"] = fel
         ok &= fel["pass"]
@@ -318,10 +363,8 @@ def suite_model(n, samples=20, seed=0, metric="quadric", rescale_seed=None, tol=
             cf = ch.random_conf_factor(chart.dim, rescale_seed, scale=0.05)
             resc = chart.rescaled(cf)
             sp2 = ch.sparling_invariants(resc, k1, k2, pts[:4])
-            inv_res = max(
-                abs(sp2["chi"]["mean"] - sp["chi"]["mean"]),
-                abs(sp2["beta1"]["mean"] - sp["beta1"]["mean"]),
-                abs(sp2["beta2"]["mean"] - sp["beta2"]["mean"]),
+            inv_res = ch.worst(
+                abs(sp2[key]["mean"] - sp[key]["mean"]) for key in ("chi", "beta1", "beta2")
             )
             results["rescale_invariance"] = inv_res
             ok &= inv_res < tol["rescale_invariance"]
@@ -332,33 +375,26 @@ def suite_model(n, samples=20, seed=0, metric="quadric", rescale_seed=None, tol=
         results["qc_axioms"] = axioms
         ok &= all(v < tol["qc_axioms"] for v in axioms.values())
 
+        fields = mo.sp1_fundamental_fields(qc)
         candidates = {}
+        vertical = {}
         chosen = None
         for name, rotate in (("maurer_cartan", False), ("adjoint_rotated", True)):
             fm = mo.fefferman_metric(qc, rotate_eta=rotate)
             fpts = fm.sample_points(max(4, samples // 4), seed + 1)
             sig_ok = all(fm.signature_at(p) == (4 * n + 3, 3) for p in fpts)
-            weyl = max(
-                float(np.max(np.abs(ch.CurvatureData(fm, p, 3).weyl))) for p in fpts
-            )
+            rows = [_fefferman_point(fm, fields, p) for p in fpts]
+            weyl = _worst_of(rows, "weyl")
             candidates[name] = {"signature_ok": sig_ok, "weyl": weyl}
+            vertical[name] = (_worst_of(rows, "lightlike"), _worst_of(rows, "killing"))
             if sig_ok and weyl < tol["weyl_fefferman"] and chosen is None:
                 chosen = name
         results["sigma_candidates"] = candidates
         results["sigma_convention"] = chosen
         ok &= chosen is not None
 
-        fm = mo.fefferman_metric(qc, rotate_eta=(chosen == "adjoint_rotated"))
-        fpts = fm.sample_points(max(4, samples // 4), seed + 1)
-        fields = mo.sp1_fundamental_fields(qc)
-        light = 0.0
-        vk = 0.0
-        for fld in fields:
-            for p in fpts:
-                g = fm.metric_at(p)
-                v = fld.values(p)
-                light = max(light, abs(float(v @ g @ v)))
-                vk = max(vk, ch.conformal_killing_residual(fm, fld, p)[0])
+        # with no candidate chosen, report the Maurer-Cartan figures
+        light, vk = vertical[chosen or "maurer_cartan"]
         results["vertical_lightlike"] = light
         results["vertical_killing"] = vk
         ok &= light < tol["vertical_killing"] and vk < tol["vertical_killing"]

@@ -18,7 +18,7 @@ from math import gcd
 
 try:
     from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional (the "gmpy" extra); plain int is exact too
     mpz = int
 
 _F0 = Fraction(0)

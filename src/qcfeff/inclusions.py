@@ -489,7 +489,7 @@ def normality_transfer_check(qc, cr, co, phi1, phi2, phic, seeds=10) -> dict:
     """Induced cochains of the exact solution space stay codifferential-closed."""
     import random as _random
 
-    sols, vals = normal_torsionfree_space(qc, phic)
+    sols, _ = normal_torsionfree_space(qc, phic)
     samples = list(sols)
     rng = _random.Random(20)
     for _ in range(seeds):
@@ -542,13 +542,10 @@ def _adapted_minus_frame(phi_qc_co: GradedInclusion):
     frame = []
     for i in qc.minus_indices():
         frame.append(phi_qc_co.minus_part({i: _F1}))
-    fiber = []
     for unit in ("i", "j", "k"):
         idx = g0_scalar_index(qc, unit)
-        v = phi_qc_co.minus_part({idx: _F1})
-        frame.append(v)
-        fiber.append(v)
-    return frame, fiber
+        frame.append(phi_qc_co.minus_part({idx: _F1}))
+    return frame
 
 
 def holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True):
@@ -561,7 +558,7 @@ def holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True):
     """
     from itertools import combinations
 
-    frame, fiber = _adapted_minus_frame(phic)
+    frame = _adapted_minus_frame(phic)
     qminus = qc.minus_indices()
     nq = len(qminus)
     pair_keys = list(combinations(range(nq), 2))
@@ -583,7 +580,6 @@ def holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True):
         tvec = values[valv]
         for p in range(len(tminus)):
             ca_p = inv[p][a]
-            cb_p = inv[p][b]
             for q in range(p + 1, len(tminus)):
                 coeff = ca_p * inv[q][b] - inv[p][b] * inv[q][a]
                 if coeff:
@@ -601,7 +597,7 @@ def holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True):
             for m, c in tvec.items():
                 rows.setdefault(("cod", tkey, m), {})[t] = c
         if with_traces:
-            for s, unit in enumerate(("i", "j", "k")):
+            for unit in ("i", "j", "k"):
                 tr = _qc_trace(qc, phic, coch, unit)
                 for m, c in tr.items():
                     rows.setdefault(("qtrace", unit, m), {})[t] = c
@@ -660,7 +656,6 @@ def corner_trace_constant(alg, unit="i"):
         if r is None:
             return None
         sgn, idx = r
-        expect = {idx: sgn}
         if len(row) != 1 or idx not in row:
             return None
         ratio = row[idx] / sgn

@@ -6,7 +6,8 @@ are exact to the truncation order; elementary functions are built by
 composing their univariate series with the nilpotent part.
 
 Jet spaces are cached per (num_vars, order), including the index table
-driving multiplication.
+driving multiplication and, once first asked for, the index tables
+that turn coefficients into derivative tensors.
 """
 
 from __future__ import annotations
@@ -79,6 +80,32 @@ class JetSpace:
             self._deriv.append(
                 (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(fac, float))
             )
+
+        self._tensor_index = {}
+
+    def derivative_tensor(self, coef, r):
+        """The d^r tensors at the base point, from coefficients on the last axis.
+
+        The result has shape ``coef.shape[:-1] + (num_vars,) * r``; its
+        entry [..., c1, ..., cr] is d_c1 ... d_cr of the function.
+        """
+        if r not in self._tensor_index:
+            m = self.num_vars
+            shape = (m,) * r
+            pos = np.zeros(shape, dtype=np.intp)
+            fac = np.zeros(shape)
+            for idx in np.ndindex(shape):
+                alpha = [0] * m
+                for c in idx:
+                    alpha[c] += 1
+                pos[idx] = self.position[tuple(alpha)]
+                f = 1.0
+                for a in alpha:
+                    f *= math.factorial(a)
+                fac[idx] = f
+            self._tensor_index[r] = pos, fac
+        pos, fac = self._tensor_index[r]
+        return coef[..., pos] * fac
 
     def mul(self, ca, cb):
         out = np.zeros(self.size)

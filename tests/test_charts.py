@@ -159,3 +159,26 @@ def test_pseudo_orthonormal_frame():
 def test_signature_detection():
     chart = ch.flat_chart(5, (3, 2))
     assert chart.signature_at([0.1] * 5) == (3, 2)
+
+
+def _sample_points_one_draw_at_a_time(chart, count, seed):
+    rng = np.random.default_rng(seed)
+    pts = []
+    while len(pts) < count:
+        u = rng.uniform(-1.0, 1.0, chart.dim)
+        if float(np.dot(u, u)) <= 1.0:
+            pts.append(chart.center + 0.9 * chart.radius * u)
+    return pts
+
+
+@pytest.mark.parametrize("dim, count", [(3, 3000), (10, 25), (14, 2)])
+def test_sample_points_match_one_draw_at_a_time(dim, count):
+    shifted = ch.MetricChart(
+        "shifted", dim, None, center=np.linspace(-0.5, 0.5, dim), radius=0.3
+    )
+    for chart in (ch.flat_chart(dim), shifted):
+        for seed in (0, 7, 11):
+            got = chart.sample_points(count, seed)
+            want = _sample_points_one_draw_at_a_time(chart, count, seed)
+            assert len(got) == count
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

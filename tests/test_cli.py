@@ -1,9 +1,13 @@
 import hashlib
 import json
+import math
+import weakref
 
+import numpy as np
 import pytest
 
-from qcfeff.cli import main
+from qcfeff import charts as ch
+from qcfeff.cli import main, suite_model
 
 
 def _run(tmp_path, *args):
@@ -148,4 +152,77 @@ def test_random_metrics_nonfinite_residual_fails():
     from qcfeff.cli import suite_random_metrics
 
     _, ok = suite_random_metrics(2, count=1)
+    assert ok is False
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ("model", "--n", "1", "--samples", "5", "--seed", "11", "--rescale-seed", "7"),
+            "48c23d9522eda74b6490091cfd0f35adc1363db17c6af949f47a6d617d6ed1ea",
+        ),
+        (
+            ("model", "--metric", "heisenberg", "--n", "1", "--samples", "4"),
+            "425ffd85258a2f2aaff3ca0e9eb288a502f0d3a6891550cadbddd02957ede655",
+        ),
+    ],
+)
+def test_model_report_bytes_pinned(tmp_path, args, digest):
+    code, text = _run(tmp_path, *args)
+    assert code == 0
+    assert _sha256(text) == digest
+
+
+@pytest.mark.parametrize("metric, repeats", [("quadric", 4), ("heisenberg", 0)])
+def test_model_builds_geometry_once_per_point(monkeypatch, metric, repeats):
+    init = ch.CurvatureData.__init__
+    keys = []
+    alive = weakref.WeakSet()
+    alive_at_build = []
+
+    def counting_init(self, chart, point, order=3):
+        keys.append((chart.name, np.asarray(point, float).tobytes()))
+        alive_at_build.append(len(alive))
+        init(self, chart, point, order)
+        alive.add(self)
+
+    monkeypatch.setattr(ch.CurvatureData, "__init__", counting_init)
+    rescale = 7 if metric == "quadric" else None
+    _, ok = suite_model(1, samples=8, seed=3, metric=metric, rescale_seed=rescale)
+    assert ok
+    # Felipe's check rebuilds its 4 points once beta1's mean is known
+    assert len(keys) <= len(set(keys)) + repeats
+    assert max(alive_at_build) == 0
+
+
+def test_model_nonfinite_residual_fails(monkeypatch):
+    real = ch.second_derivative_identity_residual
+    calls = []
+
+    def nan_at_second_point(td):
+        calls.append(None)
+        return float("nan") if len(calls) == 2 else real(td)
+
+    monkeypatch.setattr(ch, "second_derivative_identity_residual", nan_at_second_point)
+    results, ok = suite_model(1, samples=3, seed=0)
+    assert math.isnan(results["second_derivative_identity"])
+    assert ok is False
+
+
+def test_felipe_nonfinite_residual_fails(monkeypatch):
+    real = ch.felipe_residuals
+    calls = []
+
+    def nan_at_second_point(td):
+        calls.append(None)
+        out = real(td)
+        if len(calls) == 2:
+            out["complex_structure"] = float("nan")
+        return out
+
+    monkeypatch.setattr(ch, "felipe_residuals", nan_at_second_point)
+    results, ok = suite_model(1, samples=4, seed=0)
+    assert math.isnan(results["felipe"]["complex_structure"])
+    assert results["felipe"]["pass"] is False
     assert ok is False

@@ -157,3 +157,19 @@ def test_division_and_pow():
     j = jet_eval(lambda x, y: (x ** 3 / y - 2.0) / 2.0, [2.0, 4.0], 2)
     assert j.value == pytest.approx((8 / 4 - 2) / 2)
     assert j.derivative_value((1, 0)) == pytest.approx(3 * 4 / 4 / 2)
+
+
+def test_derivative_tensor_matches_derivative_value():
+    sp = jet_space(3, 3)
+    f = jet_eval(lambda x, y, z: (x * y + z).sin() * (x - 2.0 * z).exp(), [0.1, 0.2, 0.3], 3)
+    g = jet_eval(lambda x, y, z: x * x * y + z, [0.1, 0.2, 0.3], 3)
+    stacked = np.array([f.coef, g.coef])
+    for r in (1, 2, 3):
+        t = sp.derivative_tensor(stacked, r)
+        assert t.shape == (2,) + (3,) * r
+        for idx in np.ndindex((3,) * r):
+            alpha = [0, 0, 0]
+            for c in idx:
+                alpha[c] += 1
+            assert t[(0,) + idx] == f.derivative_value(alpha)
+            assert t[(1,) + idx] == g.derivative_value(alpha)
