@@ -2,9 +2,9 @@
 
 Subcommands: cohomology | inclusions | model | random-metrics | dump.
 Exit codes: 0 all expectations hold, 2 a mathematical expectation
-failed, 3 internal error.  Reports embed the schema version, the full
-configuration including the tolerance set, and are byte-reproducible
-for a fixed seed.
+failed, 3 internal error, 4 usage error (a refused flag or value).
+Reports embed the schema version, the full configuration including the
+tolerance set, and are byte-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -463,15 +463,28 @@ def suite_random_metrics(dim, count=10, seed=0, tol=None):
 # ---------------------------------------------------------------------------
 
 
+class UsageError(ValueError):
+    """A command line the suites refuse; main exits 4."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def _parse_tolerances(pairs):
     out = {}
     for item in pairs or ():
         if "=" not in item:
-            raise ValueError("tolerance overrides take the form KEY=VALUE")
+            raise UsageError("tolerance overrides take the form KEY=VALUE")
         k, v = item.split("=", 1)
         if k not in DEFAULT_TOLERANCES:
-            raise ValueError("unknown tolerance key %r" % k)
-        out[k] = float(v)
+            raise UsageError("unknown tolerance key %r" % k)
+        try:
+            out[k] = float(v)
+        except ValueError:
+            raise UsageError("tolerance %s takes a number, not %r" % (k, v)) from None
     return out
 
 
@@ -511,7 +524,7 @@ def _progress(msg):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcfeff", description="verification suites for qc Fefferman structures"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -547,12 +560,20 @@ def main(argv=None):
     common(p)
     p.add_argument("--algebra", choices=("qc", "cr", "co"), default="qc")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         for flag in ("samples", "seeds", "count"):
             if getattr(args, flag, 1) < 1:
-                raise ValueError("--%s must be at least 1" % flag)
+                raise UsageError("--%s must be at least 1" % flag)
         tol = _parse_tolerances(args.tolerance)
+        if args.command == "cohomology" and not 1 <= args.n <= 3:
+            raise UsageError("cohomology supports n in {1, 2, 3}")
+        if args.command == "random-metrics" and args.dim < 3:
+            raise UsageError("random-metrics supports dim >= 3")
+    except UsageError as exc:
+        print("usage error: %s" % exc, file=sys.stderr)
+        return 4
+    try:
         config = {
             "n": args.n,
             "seed": args.seed,
@@ -560,8 +581,6 @@ def main(argv=None):
             "tolerances": dict(DEFAULT_TOLERANCES, **tol),
         }
         if args.command == "cohomology":
-            if not 1 <= args.n <= 3:
-                raise ValueError("cohomology supports n in {1, 2, 3}")
             results, ok = suite_cohomology(args.n, progress=_progress if args.n > 1 else None)
         elif args.command == "inclusions":
             results, ok = suite_inclusions(
@@ -584,8 +603,6 @@ def main(argv=None):
             config["metric"] = args.metric
             config["rescale_seed"] = args.rescale_seed
         elif args.command == "random-metrics":
-            if args.dim < 3:
-                raise ValueError("random-metrics supports dim >= 3")
             results, ok = suite_random_metrics(
                 args.dim, count=args.count, seed=args.seed, tol=tol
             )

@@ -7,6 +7,9 @@ Eilenberg formula; the codifferential is implemented twice, once
 through the dual-basis formula ((d*phi)_1 - 1/2 (d*phi)_2) and once
 through the wedge picture on Lambda^n p_+ (x) g, where it is the Lie
 homology boundary of p_+.  The two routes are exact cross-oracles.
+On a homogeneity block the Laplacian is assembled once from integer
+multiples of the same structure tables; the per-cochain operators are
+the reference its columns are tested against.
 
 Sign conventions: the identification of C^2 with Lambda^2 p_+ (x) g
 carries a global factor -1 (and C^3 a factor +1) so that the wedge
@@ -20,6 +23,7 @@ from __future__ import annotations
 import random
 import weakref
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .exact import kernel_basis
@@ -198,6 +202,22 @@ def differential(phi: Cochain) -> Cochain:
     return out
 
 
+class _IntTables(NamedTuple):
+    """Integer multiples of the tables that assemble d and d* on a block.
+
+    Every d entry carries the factor d_scale and every d* entry the factor
+    c_scale, so a composite of one d and one d* is the rational operator
+    times d_scale * c_scale.
+    """
+
+    d_scale: int  # lcm of the denominators of [e_x, e_m], x in g_-
+    left: list  # left[m]: [(x, {l: d_scale [e_x, e_m]_l})], x in g_-, nonzero
+    br_to_minus: dict  # m -> [(a, b, d_scale c)] from _Tables.br_to_minus
+    c_scale: int  # lcm of the denominators of dual_brackets and pairs
+    dual_brackets: list  # dual_brackets[m][t]: {l: c_scale [e_m, e^t]_l}
+    pairs: dict  # (a, b) in g_-, a < b -> {x: c_scale B([e^a, e^b], e_x)}
+
+
 class _Tables(NamedTuple):
     """Structure tables of one algebra that the cochain operators share."""
 
@@ -206,6 +226,8 @@ class _Tables(NamedTuple):
     pos_of: dict  # minus index -> its position t
     br_to_minus: dict  # minus index m -> [(a, b, c)]: c = [e_a, e_b]_m, a < b
     pair_brackets: dict  # (s, t), s < t -> {pos: B([e^s, e^t], e_minus[pos])}
+    minus_brackets: list  # minus_brackets[i]: [(t, [e_i, e^t]_-)], nonzero ones
+    ints: _IntTables
 
 
 _TABLES = weakref.WeakKeyDictionary()
@@ -233,11 +255,87 @@ def _tables(alg) -> _Tables:
                     exp[t] = val
             if exp:
                 pair_brackets[(i, j)] = exp
+    # dual_brackets[i][t] = [e_i, e^t]
+    dual_brackets = [
+        [alg.bracket_vec({i: _F1}, dual) for dual in duals] for i in range(alg.dim)
+    ]
+    minus_brackets = []
+    for row in dual_brackets:
+        out = []
+        for t, br in enumerate(row):
+            br_minus = {j: c for j, c in br.items() if alg.degrees[j] < 0}
+            if br_minus:
+                out.append((t, br_minus))
+        minus_brackets.append(out)
     tables = _Tables(
-        minus, duals, {m: t for t, m in enumerate(minus)}, br_to_minus, pair_brackets
+        minus,
+        duals,
+        {m: t for t, m in enumerate(minus)},
+        br_to_minus,
+        pair_brackets,
+        minus_brackets,
+        _int_tables(alg, minus, br_to_minus, pair_brackets, dual_brackets),
     )
     _TABLES[alg] = tables
     return tables
+
+
+def _int_tables(alg, minus, br_to_minus, pair_brackets, dual_brackets):
+    left = [
+        [(x, br) for x in minus if (br := alg.bracket_indices(x, m))]
+        for m in range(alg.dim)
+    ]
+    d_scale = _denominator_lcm(br for row in left for _, br in row)
+    c_scale = _denominator_lcm(
+        [br for row in dual_brackets for br in row] + list(pair_brackets.values())
+    )
+    return _IntTables(
+        d_scale,
+        [[(x, _scaled(br, d_scale)) for x, br in row] for row in left],
+        {
+            m: [(a, b, _times(c, d_scale)) for a, b, c in row]
+            for m, row in br_to_minus.items()
+        },
+        c_scale,
+        [[_scaled(br, c_scale) for br in row] for row in dual_brackets],
+        {
+            (minus[s], minus[t]): {minus[p]: _times(c, c_scale) for p, c in exp.items()}
+            for (s, t), exp in pair_brackets.items()
+        },
+    )
+
+
+def _denominator_lcm(vecs):
+    out = 1
+    for vec in vecs:
+        for c in vec.values():
+            out = lcm(out, c.denominator)
+    return out
+
+
+def _times(c, scale) -> int:
+    """scale * c as an int; scale must be a multiple of c's denominator."""
+    return c.numerator * (scale // c.denominator)
+
+
+def _scaled(vec, scale):
+    return {k: _times(c, scale) for k, c in vec.items()}
+
+
+def _part1(phi: Cochain) -> Cochain:
+    """First part of the dual-basis codifferential on C^2.
+
+    Its value at e_a is the sum over b of [phi(e_a, e_b), e^b].
+    """
+    alg = phi.alg
+    tables = _tables(alg)
+    duals, pos_of = tables.duals, tables.pos_of
+    part1 = Cochain(alg, 1)
+    for (a, b), vec in phi.coeffs.items():
+        # X = e_a with alpha = b, and X = e_b with alpha = a (antisymmetry)
+        part1.add_term((a,), alg.bracket_vec(vec, duals[pos_of[b]]))
+        part1.add_term((b,), alg.bracket_vec(vec, duals[pos_of[a]]), -_F1)
+    return part1
 
 
 def codifferential_minus(phi: Cochain):
@@ -249,32 +347,33 @@ def codifferential_minus(phi: Cochain):
     if phi.degree != 2:
         raise ValueError("codifferential_minus expects a degree-2 cochain")
     alg = phi.alg
-    tables = _tables(alg)
-    duals, pos_of = tables.duals, tables.pos_of
-    part1 = Cochain(alg, 1)
-    for (a, b), vec in phi.coeffs.items():
-        # X = e_a with alpha = b, and X = e_b with alpha = a (antisymmetry)
-        part1.add_term((a,), alg.bracket_vec(vec, duals[pos_of[b]]))
-        part1.add_term((b,), alg.bracket_vec(vec, duals[pos_of[a]]), -_F1)
     part2 = Cochain(alg, 1)
-    for m in tables.minus:
+    for m in _tables(alg).minus:
         vec = codiff_part2_at(phi, {m: _F1})
         if vec:
             part2.add_term((m,), vec)
-    return part1, part2
+    return _part1(phi), part2
 
 
 def codiff_part2_at(phi: Cochain, yvec):
     """Sum over alpha of phi([Y, e^alpha]_-, e_alpha) for an element Y."""
-    alg = phi.alg
-    tables = _tables(alg)
+    tables = _tables(phi.alg)
+    # [Y, e^t]_- for every t, by linearity in Y from the [e_i, e^t]_- table
+    brackets = {}
+    for i, y in yvec.items():
+        for t, br in tables.minus_brackets[i]:
+            acc = brackets.setdefault(t, {})
+            for j, c in br.items():
+                s = acc.get(j, _F0) + y * c
+                if s:
+                    acc[j] = s
+                else:
+                    acc.pop(j, None)
     out = {}
-    for s, dual in enumerate(tables.duals):
-        br = alg.bracket_vec(yvec, dual)
-        br_minus = {i: c for i, c in br.items() if alg.degrees[i] < 0}
+    for t, br_minus in sorted(brackets.items()):
         if not br_minus:
             continue
-        vec = phi.eval_vectors(br_minus, {tables.minus[s]: _F1})
+        vec = phi.eval_vectors(br_minus, {tables.minus[t]: _F1})
         for m, c in vec.items():
             acc = out.get(m, _F0) + c
             if acc:
@@ -421,71 +520,135 @@ def homogeneity_range(alg, n):
     return [l for l in range(lo, hi + 1) if block_basis(alg, n, l)]
 
 
-def _basis_cochain(alg, n, key, m):
-    return Cochain(alg, n, {key: {m: _F1}})
+class _Block(NamedTuple):
+    """Bases of the (n, l) block and its neighbours, and the integer operators.
+
+    Each operator is a list of sparse {row: int} columns, one per element
+    of its source basis; every d column is d_scale times the rational one
+    and every d* column c_scale times it (see _IntTables).
+    """
+
+    src: list  # block basis of C^n
+    down: list  # block basis of C^(n-1)
+    up: list  # block basis of C^(n+1)
+    d_down: list  # d: C^(n-1) -> C^n, rows over src
+    c_src: list  # d*: C^n -> C^(n-1), rows over down
+    d_src: list  # d: C^n -> C^(n+1), rows over up
+    c_up: list  # d*: C^(n+1) -> C^n, rows over src
 
 
-def _matrix_of(op, alg, n_src, l, src_basis, tgt_index):
-    """Rows of the operator on the block, as sparse {col: Fraction} dicts
-    keyed by target (key, value) pairs."""
-    rows = {}
-    for col, (key, m) in enumerate(src_basis):
-        img = op(_basis_cochain(alg, n_src, key, m))
-        for tkey, vec in img.coeffs.items():
-            for tm, c in vec.items():
-                pos = tgt_index.get((tkey, tm))
-                if pos is None:
-                    raise AssertionError("operator left the homogeneity block")
-                rows.setdefault(pos, {})[col] = c
+def _block_operators(alg, n, l) -> _Block:
+    tables = _tables(alg)
+    src, down, up = (block_basis(alg, k, l) for k in (n, n - 1, n + 1))
+    idx_src, idx_down, idx_up = (
+        {km: t for t, km in enumerate(basis)} for basis in (src, down, up)
+    )
+    return _Block(
+        src,
+        down,
+        up,
+        _differential_columns(tables, down, idx_src),
+        _codifferential_columns(tables, n, src, idx_down),
+        _differential_columns(tables, src, idx_up),
+        _codifferential_columns(tables, n + 1, up, idx_src),
+    )
+
+
+def _add_entry(col, index, target, value):
+    """col[index[target]] += value, keeping no zero entries."""
+    row = index.get(target)
+    if row is None:
+        raise AssertionError("operator left the homogeneity block")
+    s = col.get(row, 0) + value
+    if s:
+        col[row] = s
+    else:
+        del col[row]
+
+
+def _differential_columns(tables, basis, index):
+    """Columns of d_scale * d on the basis cochains (key, m), as in differential."""
+    ints = tables.ints
+    cols = []
+    for key, m in basis:
+        col = {}
+        # first sum: (-1)^i [X_i, phi(rest)]
+        for x, br in ints.left[m]:
+            ins = _insert_sorted(key, x)
+            if ins is None:
+                continue
+            pos, tkey = ins
+            sign = -1 if pos % 2 else 1
+            for l, c in br.items():
+                _add_entry(col, index, (tkey, l), sign * c)
+        # second sum: (-1)^(i+j) phi([X_i, X_j], rest)
+        for t, mm in enumerate(key):
+            rest = key[:t] + key[t + 1:]
+            for a, b, c in ints.br_to_minus.get(mm, ()):
+                if a in rest or b in rest:
+                    continue
+                _, t1 = _insert_sorted(rest, a)
+                _, tkey = _insert_sorted(t1, b)
+                sign = (-1) ** (tkey.index(a) + tkey.index(b) + t)
+                _add_entry(col, index, (tkey, m), sign * c)
+        cols.append(col)
+    return cols
+
+
+def _codifferential_columns(tables, n, basis, index):
+    """Columns of c_scale * d* on the basis cochains of C^n, as in
+    codifferential_wedge (keys are increasing, so no pair is flipped)."""
+    if basis and n not in _WEDGE_SIGN:
+        raise ValueError("wedge codifferential defined for degrees 1..3")
+    ints = tables.ints
+    sign = _WEDGE_SIGN.get(n, 1) * _WEDGE_SIGN.get(n - 1, 1)
+    cols = []
+    for key, m in basis:
+        col = {}
+        for t, z in enumerate(key):
+            rest = key[:t] + key[t + 1:]
+            # -(-1)^t [e^z, e_m] = (-1)^t [e_m, e^z]
+            s = -sign if t % 2 else sign
+            for l, c in ints.dual_brackets[m][tables.pos_of[z]].items():
+                _add_entry(col, index, (rest, l), s * c)
+        for t in range(len(key)):
+            for u in range(t + 1, len(key)):
+                exp = ints.pairs.get((key[t], key[u]))
+                if not exp:
+                    continue
+                rest = key[:t] + key[t + 1:u] + key[u + 1:]
+                for x, c in exp.items():
+                    ins = _insert_sorted(rest, x)
+                    if ins is None:
+                        continue
+                    ppos, tkey = ins
+                    _add_entry(col, index, (tkey, m), sign * (-1) ** (t + u + ppos) * c)
+        cols.append(col)
+    return cols
+
+
+def _laplacian_rows(blk: _Block):
+    """Rows of d d* + d* d on the block, composed column by column in int."""
+    rows = [{} for _ in blk.src]
+    for c in range(len(blk.src)):
+        col = {}
+        for left, right in ((blk.d_down, blk.c_src[c]), (blk.c_up, blk.d_src[c])):
+            for mid, v in right.items():
+                for r, w in left[mid].items():
+                    col[r] = col.get(r, 0) + v * w
+        for r, v in col.items():
+            if v:
+                rows[r][c] = v
     return rows
 
 
 def laplacian_block(alg, n, l):
-    """Exact sparse rows of the Kostant Laplacian on the (n, l) block."""
-    src = block_basis(alg, n, l)
-    if not src:
-        return []
-    down = block_basis(alg, n - 1, l)
-    up = block_basis(alg, n + 1, l)
-    idx_src = {km: t for t, km in enumerate(src)}
-    idx_down = {km: t for t, km in enumerate(down)}
-    idx_up = {km: t for t, km in enumerate(up)}
+    """Sparse integer rows of the Kostant Laplacian on the (n, l) block.
 
-    cod_n = _matrix_of(codifferential_wedge, alg, n, l, src, idx_down)
-    del_dn = _matrix_of(differential, alg, n - 1, l, down, idx_src)
-    del_n = _matrix_of(differential, alg, n, l, src, idx_up)
-    cod_up = _matrix_of(codifferential_wedge, alg, n + 1, l, up, idx_src)
-
-    dim = len(src)
-
-    def compose(left, right):
-        # left, right: {row: {col: val}}; returns rows of left . right
-        out = [dict() for _ in range(dim)]
-        for r, lrow in left.items():
-            acc = out[r]
-            for mid, lv in lrow.items():
-                rrow = right.get(mid)
-                if not rrow:
-                    continue
-                for c, rv in rrow.items():
-                    s = acc.get(c, _F0) + lv * rv
-                    if s:
-                        acc[c] = s
-                    else:
-                        acc.pop(c, None)
-        return out
-
-    term1 = compose(del_dn, cod_n)
-    term2 = compose(cod_up, del_n)
-    for r in range(dim):
-        row = term1[r]
-        for c, v in term2[r].items():
-            s = row.get(c, _F0) + v
-            if s:
-                row[c] = s
-            else:
-                row.pop(c, None)
-    return term1
+    The rows are d_scale * c_scale times the rational Laplacian's, a
+    positive multiple, so the kernel and the primitive rows are the same.
+    """
+    return _laplacian_rows(_block_operators(alg, n, l))
 
 
 def harmonic_space(alg, n, l):
@@ -536,28 +699,20 @@ def hodge_check(alg, n):
     per_block = {}
     ok = True
     for l in homogeneity_range(alg, n):
-        src = block_basis(alg, n, l)
-        idx_src = {km: t for t, km in enumerate(src)}
-        down = block_basis(alg, n - 1, l)
-        up = block_basis(alg, n + 1, l)
-        dim = len(src)
+        # one assembly per block serves im(del), im(cod) and ker(box)
+        blk = _block_operators(alg, n, l)
+        dim = len(blk.src)
         covered += dim
-        im_del = []
-        for key, m in down:
-            img = differential(_basis_cochain(alg, n - 1, key, m))
-            im_del.append(_coords_in_block(img, idx_src, dim))
-        im_cod = []
-        for key, m in up:
-            img = codifferential_wedge(_basis_cochain(alg, n + 1, key, m))
-            im_cod.append(_coords_in_block(img, idx_src, dim))
-        hdim, hbasis, _ = harmonic_space(alg, n, l)
-        hvecs = [_coords_in_block(c, idx_src, dim) for c in hbasis]
-        r_del = _rank_of_vectors([v for v in im_del if any(v)], dim)
-        r_cod = _rank_of_vectors([v for v in im_cod if any(v)], dim)
+        hvecs = kernel_basis(_laplacian_rows(blk), dim)
+        hdim = len(hvecs)
+        im_del = [v for v in blk.d_down if v]
+        im_cod = [v for v in blk.c_up if v]
+        r_del = _rank_of_vectors(im_del, dim)
+        r_cod = _rank_of_vectors(im_cod, dim)
         segs = {
-            "im_del": ([v for v in im_del if any(v)], r_del),
+            "im_del": (im_del, r_del),
             "ker_box": (hvecs, hdim),
-            "im_cod": ([v for v in im_cod if any(v)], r_cod),
+            "im_cod": (im_cod, r_cod),
         }
         sum_ok = r_del + hdim + r_cod == dim
         pair_ok = True
@@ -579,17 +734,6 @@ def hodge_check(alg, n):
         ok = ok and sum_ok and pair_ok
     ok = ok and covered == total
     return {"degree": n, "dim_total": total, "blocks": per_block, "pass": ok}
-
-
-def _coords_in_block(coch, idx, dim):
-    vec = [_F0] * dim
-    for key, valvec in coch.coeffs.items():
-        for m, c in valvec.items():
-            pos = idx.get((key, m))
-            if pos is None:
-                raise AssertionError("cochain leaves the block")
-            vec[pos] = c
-    return vec
 
 
 def random_cochain(alg, n, seed, lo=-3, hi=3, value_indices=None, keys=None):

@@ -318,15 +318,19 @@ def realify_C(m: ExactMatrix) -> ExactMatrix:
 def _int_row(row, ncols):
     """Primitive integer {col: int} form of one dense or sparse rational row."""
     if isinstance(row, dict):
-        items = [(j, _frac(v)) for j, v in row.items() if v]
+        items = [(j, v) for j, v in row.items() if v]
     else:
         if len(row) != ncols:
             raise ValueError("row length mismatch")
-        items = [(j, _frac(v)) for j, v in enumerate(row) if v]
-    lcm = 1
-    for _, v in items:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = {j: v.numerator * (lcm // v.denominator) for j, v in items}
+        items = [(j, v) for j, v in enumerate(row) if v]
+    if all(isinstance(v, int) for _, v in items):
+        ints = dict(items)
+    else:
+        items = [(j, _frac(v)) for j, v in items]
+        lcm = 1
+        for _, v in items:
+            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+        ints = {j: v.numerator * (lcm // v.denominator) for j, v in items}
     g = gcd(*ints.values())
     if g > 1:
         ints = {j: v // g for j, v in ints.items()}

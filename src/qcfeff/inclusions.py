@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .cohomology import (
     Cochain,
+    _part1,
     codiff_part2_at,
     codifferential_minus,
     random_cochain,
@@ -374,35 +375,27 @@ def check_structural_conditions(phi: GradedInclusion) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def part1_at(kappa: Cochain, yvec):
-    """First codifferential part evaluated at an arbitrary minus element."""
-    alg = kappa.alg
-    minus, duals = alg.dual_basis()
-    out = {}
-    for t, m in enumerate(minus):
-        val = kappa.eval_vectors(yvec, {m: _F1})
-        if not val:
-            continue
-        br = alg.bracket_vec(val, duals[t])
-        for l, c in br.items():
-            s = out.get(l, _F0) + c
-            if s:
-                out[l] = s
-            else:
-                out.pop(l, None)
-    return out
-
-
 def del1_identity_check(phi: GradedInclusion, kappa: Cochain) -> dict:
     """Exact residuals of the first transfer identity on every g_- basis."""
     src = phi.source
     tilde = phi.induce_cochain(kappa)
     c = phi.killing_constant
+    part1 = _part1(kappa).coeffs
+    tilde_part1 = _part1(tilde).coeffs
     residuals = []
     for x in src.minus_indices():
-        lhs = phi.apply(part1_at(kappa, {x: _F1}))
+        lhs = phi.apply(part1.get((x,), {}))
         lhs = {k: c * v for k, v in lhs.items()}
-        rhs = phi.project_to_image(part1_at(tilde, phi.minus_part({x: _F1})))
+        # part 1 is linear in its argument: phi_-(x)'s value from the basis values
+        at_image = {}
+        for t, a in phi.minus_part({x: _F1}).items():
+            for m, v in tilde_part1.get((t,), {}).items():
+                s = at_image.get(m, _F0) + a * v
+                if s:
+                    at_image[m] = s
+                else:
+                    at_image.pop(m, None)
+        rhs = phi.project_to_image(at_image)
         residuals.append(_sub(lhs, rhs))
     return {
         "inclusion": "%s->%s" % (src.name, phi.target.name),

@@ -74,9 +74,26 @@ def test_tolerance_override_can_fail(tmp_path):
     assert rep["config"]["tolerances"]["weyl_flat"] == 1e-30
 
 
-def test_unknown_tolerance_key_is_internal_error(tmp_path):
+def test_unknown_tolerance_key_is_usage_error(tmp_path, capsys):
     code = main(["model", "--tolerance", "nope=1"])
-    assert code == 3
+    assert code == 4
+    assert "usage error: unknown tolerance key" in capsys.readouterr().err
+
+
+def test_argparse_errors_are_usage_errors(tmp_path, capsys):
+    for args in (
+        ("model", "--metric", "foo"),
+        ("cohomology", "--n", "x"),
+        ("model", "--tolerance", "weyl_flat=small"),
+        (),
+    ):
+        code, text = _run(tmp_path, *args)
+        assert code == 4
+        assert text == ""
+        assert "usage error: " in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--help"])
+    assert exc.value.code == 0
 
 
 def test_markdown_format(tmp_path):
@@ -130,7 +147,7 @@ def test_inclusions_report_bytes_pinned(tmp_path):
 
 def test_cohomology_bad_n(tmp_path):
     code = main(["cohomology", "--n", "7"])
-    assert code == 3
+    assert code == 4
 
 
 def test_random_metrics_dim2_refused(tmp_path):
@@ -143,7 +160,7 @@ def test_random_metrics_dim2_refused(tmp_path):
         ("model", "--samples", "0"),
     ):
         code, text = _run(tmp_path, *args)
-        assert code == 3
+        assert code == 4
         assert text == ""
 
 

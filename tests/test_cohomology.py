@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,55 @@ def test_kernel_equality_co_degree2_main_block(chain1):
     # the harmonic block is the Weyl-tensor module of a 10-dimensional space
     m = len(co.minus_indices())
     assert dim == (m + 2) * (m + 1) * m * (m - 3) // 12
+
+
+def _block_coords(coch, basis):
+    index = {km: t for t, km in enumerate(basis)}
+    return {index[(key, m)]: c for key, vec in coch.coeffs.items() for m, c in vec.items()}
+
+
+def test_block_operators_match_per_cochain_operators(chain1):
+    """Each assembled integer column is its operator's scale times the image
+    of the basis cochain under differential or codifferential_wedge."""
+    qc, _, co = chain1
+    for alg, degrees in ((qc, (1, 2)), (co, (1,))):
+        ints = coh._tables(alg).ints
+        for n in degrees:
+            for l in coh.homogeneity_range(alg, n):
+                blk = coh._block_operators(alg, n, l)
+                for op, scale, deg, basis, target, cols in (
+                    (differential, ints.d_scale, n - 1, blk.down, blk.src, blk.d_down),
+                    (codifferential_wedge, ints.c_scale, n, blk.src, blk.down, blk.c_src),
+                    (differential, ints.d_scale, n, blk.src, blk.up, blk.d_src),
+                    (codifferential_wedge, ints.c_scale, n + 1, blk.up, blk.src, blk.c_up),
+                ):
+                    assert len(cols) == len(basis)
+                    for (key, m), col in zip(basis, cols):
+                        assert all(type(v) is int for v in col.values())
+                        img = op(Cochain(alg, deg, {key: {m: F1}}))
+                        expect = _block_coords(img, target)
+                        assert col == {t: scale * c for t, c in expect.items()}
+
+
+def test_harmonic_bases_pinned(chain1):
+    """Every harmonic basis vector of qc(1) in degrees 1 and 2, hashed.
+
+    The digests were taken when the Laplacian was still composed in
+    Fraction arithmetic; the integer assembly reproduces it bit for bit.
+    """
+    qc, _, _ = chain1
+    digests = {
+        1: "3b37812445c453c8f5c0ce5b341b7de1c011d4d32b8f77827acfb9b1f91d3905",
+        2: "2a75c2a7e2256c53a948039e0d39a72a10c9b43e5ca8c142e1f2bfeffb781560",
+    }
+    for n, digest in digests.items():
+        h = hashlib.sha256()
+        for l in coh.homogeneity_range(qc, n):
+            _, basis, src = harmonic_space(qc, n, l)
+            for c in basis:
+                coords = [str(c.coeffs.get(key, {}).get(m, 0)) for key, m in src]
+                h.update(("%d:%s\n" % (l, ",".join(coords))).encode())
+        assert h.hexdigest() == digest
 
 
 def test_bracket_tensor_id_conventions(chain1):

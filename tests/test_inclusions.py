@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcfeff import cohomology as coh
 from qcfeff import inclusions as inc
 from qcfeff.cohomology import Cochain, codifferential_minus, codiff_part2_at, random_cochain
 from qcfeff.exact import Quaternion
@@ -166,6 +167,31 @@ def test_del1_identity(inclusions1):
         assert inc.del1_identity_check(phi2, random_cochain(cr, 2, seed, lo=-2, hi=2))[
             "all_exact_zero"
         ]
+
+
+def test_del1_fails_for_wrong_killing_constant(inclusions1):
+    qc, cr, _, phi1, _, _ = inclusions1
+    kappa = random_cochain(qc, 2, 3, lo=-2, hi=2)
+    assert inc.del1_identity_check(phi1, kappa)["all_exact_zero"]
+    doubled = inc.GradedInclusion(qc, cr, phi1.img)
+    doubled.killing_constant = 2 * phi1.killing_constant
+    assert not inc.del1_identity_check(doubled, kappa)["all_exact_zero"]
+
+
+def test_part1_is_the_dual_basis_sum(inclusions1):
+    """The shared part-1 helper at e_x is the sum over m of [kappa(e_x, e_m), e^m]."""
+    qc, _, _, phi1, _, _ = inclusions1
+    kappa = random_cochain(qc, 2, 3, lo=-2, hi=2)
+    for k in (kappa, phi1.induce_cochain(kappa)):
+        alg = k.alg
+        minus, duals = alg.dual_basis()
+        part1 = coh._part1(k)
+        for x in minus:
+            expect = {}
+            for m, dual in zip(minus, duals):
+                for l, c in alg.bracket_vec(k.eval_vectors({x: F1}, {m: F1}), dual).items():
+                    expect[l] = expect.get(l, F0) + c
+            assert part1.coeffs.get((x,), {}) == {l: c for l, c in expect.items() if c}
 
 
 def test_del2_identity(inclusions1):
