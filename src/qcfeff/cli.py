@@ -562,7 +562,7 @@ def main(argv=None):
 
     try:
         args = parser.parse_args(argv)
-        for flag in ("samples", "seeds", "count"):
+        for flag in ("n", "samples", "seeds", "count"):
             if getattr(args, flag, 1) < 1:
                 raise UsageError("--%s must be at least 1" % flag)
         tol = _parse_tolerances(args.tolerance)

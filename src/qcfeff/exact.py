@@ -385,71 +385,36 @@ def _bareiss_echelon(m, ncols):
 
 
 def _kernel_from_echelon(piv_cols, ech, ncols):
-    rank = len(piv_cols)
+    """Primitive integer kernel vectors, one per free column.
+
+    Back substitution runs in integers: when a pivot does not divide the
+    running sum, the vector is scaled by |pivot| / gcd.  The total scale is
+    then the lcm of the denominators of the rational solution that is 1 at
+    the free column, so each vector is primitive: the unique one that is
+    positive at its free column and zero at every other free column.
+    """
     piv_set = set(piv_cols)
-    free_cols = [c for c in range(ncols) if c not in piv_set]
+    steps = [
+        (pc, int(row[pc]), [(j, int(row[j])) for j in range(pc + 1, ncols) if row[j]])
+        for pc, row in zip(piv_cols, ech)
+    ]
+    steps.reverse()
     basis = []
-    for fc in free_cols:
-        x = [_F0] * ncols
-        x[fc] = _F1
-        for r in range(rank - 1, -1, -1):
-            pc = piv_cols[r]
-            s = _F0
-            row = ech[r]
-            for j in range(pc + 1, ncols):
-                if row[j] and x[j]:
-                    s += Fraction(int(row[j])) * x[j]
-            if s:
-                x[pc] = -s / Fraction(int(row[pc]))
-        # scale to integer vector
-        lcm = 1
-        for v in x:
-            if v:
-                lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        g = 0
-        ints = [v.numerator * (lcm // v.denominator) for v in x]
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        basis.append(tuple(Fraction(v) for v in ints))
-    return basis
-
-
-_PRIMES = (999983, 999979, 999961, 999959, 999953)
-
-
-def _modp_pivots(int_rows, ncols, p):
-    """Row-reduce mod p (numpy); returns (pivot_row_indices, pivot_cols)."""
-    import numpy as np
-
-    nr = len(int_rows)
-    a = np.empty((nr, ncols), dtype=np.int64)
-    for i, row in enumerate(int_rows):
-        a[i] = [int(x) % p for x in row]
-    perm = list(range(nr))
-    piv_rows, piv_cols = [], []
-    r = 0
-    for c in range(ncols):
-        if r >= nr:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+    for fc in range(ncols):
+        if fc in piv_set:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-            perm[r], perm[i] = perm[i], perm[r]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[r + 1:, c].copy()
-        mask = col != 0
-        if mask.any():
-            a[r + 1:][mask] = (a[r + 1:][mask] - col[mask, None] * a[r][None, :]) % p
-        piv_rows.append(perm[r])
-        piv_cols.append(c)
-        r += 1
-    return piv_rows, piv_cols
+        x = [0] * ncols
+        x[fc] = 1
+        for pc, p, tail in steps:
+            s = sum(v * x[j] for j, v in tail if x[j])
+            if s:
+                k = abs(p) // gcd(s, p)
+                if k > 1:
+                    x = [v * k for v in x]
+                    s *= k
+                x[pc] = -s // p
+        basis.append(tuple(x))
+    return basis
 
 
 def kernel_basis(rows, ncols):
@@ -459,12 +424,11 @@ def kernel_basis(rows, ncols):
     dicts.  The columns are split into the connected components of the
     row/column incidence graph and each component is solved on its own; a
     column that no row touches contributes its unit vector.  Vectors are
-    ordered by their free column, the largest index in their support.
+    primitive tuples of int, positive at their free column (the largest
+    index in their support) and ordered by it.
 
     The result is certified: every vector is verified to satisfy M v = 0
-    exactly against every row of the whole system, and for the lifting
-    path the pivot minor is nonzero mod p, which bounds the rank from
-    below over Q.
+    exactly against every row of the whole system.
     """
     sparse_rows = [r for r in (_int_row(row, ncols) for row in rows) if r]
     parent = list(range(ncols))
@@ -494,7 +458,7 @@ def kernel_basis(rows, ncols):
             {local[j]: v for j, v in row.items()} for row in comp_rows.get(root, ())
         ]
         for lvec in _component_kernel(local_rows, len(cols)):
-            vec = [_F0] * ncols
+            vec = [0] * ncols
             for t, v in enumerate(lvec):
                 if v:
                     vec[cols[t]] = v
@@ -510,10 +474,9 @@ def kernel_basis(rows, ncols):
 def _component_kernel(sparse_rows, ncols):
     """Kernel of one connected system of nonzero primitive integer rows.
 
-    Small systems take fraction-free elimination; larger ones take modular
-    pivots plus batched p-adic lifting, falling back to elimination when
-    no prime yields a verified basis.  A single column that no row touches
-    comes back as its unit vector.
+    Fraction-free (Bareiss) elimination followed by integer back
+    substitution.  A single column that no row touches comes back as its
+    unit vector.
     """
     int_rows = []
     for row in sparse_rows:
@@ -521,22 +484,12 @@ def _component_kernel(sparse_rows, ncols):
         for j, v in row.items():
             dense[j] = mpz(v)
         int_rows.append(dense)
-    if ncols > 220 or len(int_rows) > 600:
-        for p in _PRIMES:
-            piv_rows, piv_cols = _modp_pivots(int_rows, ncols, p)
-            sub = [int_rows[i] for i in piv_rows]
-            try:
-                basis = _kernel_dixon_batched(sub, piv_cols, ncols, p)
-            except ArithmeticError:
-                continue
-            if basis is not None and _verify_kernel(sparse_rows, basis):
-                return basis
     piv_cols, ech = _bareiss_echelon(int_rows, ncols)
     return _kernel_from_echelon(piv_cols, ech, ncols)
 
 
 def _verify_kernel(sparse_rows, basis):
-    """True when every row annihilates every vector of basis exactly.
+    """True when every row annihilates every integer vector of basis exactly.
 
     A row sharing no column with a vector's support annihilates it as an
     empty sum, so each vector is multiplied out against the rows that
@@ -547,183 +500,14 @@ def _verify_kernel(sparse_rows, basis):
         for j in row:
             touching.setdefault(j, []).append(i)
     for vec in basis:
-        support = [(j, v) for j, v in enumerate(vec) if v]
-        lcm = 1
-        for _, v in support:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        ints = {j: int(v.numerator) * (lcm // v.denominator) for j, v in support}
         hit = set()
-        for j in ints:
-            hit.update(touching.get(j, ()))
+        for j, v in enumerate(vec):
+            if v:
+                hit.update(touching.get(j, ()))
         for i in hit:
-            if sum(rv * ints.get(j, 0) for j, rv in sparse_rows[i].items()):
+            if sum(rv * vec[j] for j, rv in sparse_rows[i].items()):
                 return False
     return True
-
-
-def _kernel_dixon_batched(piv_rows, piv_cols, ncols, p):
-    """Kernel vectors via batched p-adic lifting on the pivot submatrix.
-
-    All free columns are lifted simultaneously; residual updates use a
-    float64 matmul when the exactness bound allows it (every intermediate
-    stays below 2^53), falling back to object-dtype products otherwise.
-    """
-    import numpy as np
-
-    r = len(piv_rows)
-    piv_set = set(piv_cols)
-    free_cols = [c for c in range(ncols) if c not in piv_set]
-    if r == 0:
-        return [
-            tuple(_F1 if j == c else _F0 for j in range(ncols)) for c in free_cols
-        ]
-    if not free_cols:
-        return []
-    a_int = [[int(row[c]) for c in piv_cols] for row in piv_rows]
-    amax = max(1, max(abs(v) for row in a_int for v in row))
-    lu = _ModPLU(a_int, p)
-    nfree = len(free_cols)
-    exact_f64 = amax * p * r < 2 ** 52
-    a_np = np.array(a_int, dtype=np.float64) if exact_f64 else None
-    a_obj = None if exact_f64 else np.array(a_int, dtype=object)
-    if exact_f64:
-        residual = np.array(
-            [[-int(row[c]) for c in free_cols] for row in piv_rows], dtype=np.int64
-        )
-    else:
-        residual = np.array(
-            [[-int(row[c]) for c in free_cols] for row in piv_rows], dtype=object
-        )
-    digits = []
-    pk = mpz(1)
-    step = 0
-    check_at = 6
-    max_steps = 4000
-    while step < max_steps:
-        if exact_f64:
-            b_mod = residual % p
-        else:
-            b_mod = np.array(
-                [[int(v % p) for v in row] for row in residual], dtype=np.int64
-            )
-        x = lu.solve_matrix(b_mod)
-        digits.append(x)
-        if exact_f64:
-            ax = a_np @ x.astype(np.float64)
-            residual = (residual - ax.astype(np.int64)) // p
-        else:
-            residual = (residual - a_obj @ x.astype(object)) // p
-        pk *= p
-        step += 1
-        done = not residual.any()
-        if step >= check_at or done:
-            sol = _reconstruct_matrix(digits, pk, p, r, nfree)
-            if sol is not None:
-                basis = []
-                for t, fc in enumerate(free_cols):
-                    vec = [_F0] * ncols
-                    vec[fc] = _F1
-                    for idx, c in enumerate(piv_cols):
-                        vec[c] = sol[idx][t]
-                    basis.append(tuple(vec))
-                return basis
-            if done:
-                return None
-            check_at = max(check_at + 6, int(check_at * 1.7))
-    return None
-
-
-def _reconstruct_matrix(digits, pk, p, r, nfree):
-    sol = []
-    for i in range(r):
-        row = []
-        for t in range(nfree):
-            v = 0
-            for x in reversed(digits):
-                v = v * p + int(x[i, t])
-            rec = _rational_reconstruct(v, pk)
-            if rec is None:
-                return None
-            row.append(rec)
-        sol.append(row)
-    return sol
-
-
-class _ModPLU:
-    """Dense LU factorisation mod p with partial pivoting (numpy int64)."""
-
-    def __init__(self, a_int, p):
-        import numpy as np
-
-        self.p = p
-        n = len(a_int)
-        a = np.array([[int(x) % p for x in row] for row in a_int], dtype=np.int64)
-        perm = np.arange(n)
-        for k in range(n):
-            nz = np.nonzero(a[k:, k])[0]
-            if nz.size == 0:
-                raise ArithmeticError("singular mod p")
-            i = k + int(nz[0])
-            if i != k:
-                a[[k, i]] = a[[i, k]]
-                perm[[k, i]] = perm[[i, k]]
-            inv = pow(int(a[k, k]), p - 2, p)
-            a[k + 1:, k] = (a[k + 1:, k] * inv) % p
-            if k + 1 < n:
-                sub = a[k + 1:, k + 1:]
-                sub -= a[k + 1:, k, None] * a[k, k + 1:][None, :]
-                sub %= p
-        self.a = a
-        self.perm = perm
-        self.n = n
-
-    def solve_matrix(self, b_mod):
-        """Forward/back substitution for a matrix of right-hand sides.
-
-        Forward steps reduce every row operation mod p.  Back substitution
-        sums up to n products below p^2 in float64, which is exact only
-        while n * p^2 < 2^53; otherwise ArithmeticError, as for a singular
-        factorisation.
-        """
-        import numpy as np
-
-        p, a, n = self.p, self.a, self.n
-        if n * p * p >= 2 ** 53:
-            raise ArithmeticError("float64 back substitution inexact mod p")
-        x = b_mod[self.perm].copy()
-        for k in range(n):
-            row = x[k]
-            if row.any():
-                x[k + 1:] = (x[k + 1:] - np.outer(a[k + 1:, k], row)) % p
-        inv_diag = [pow(int(a[k, k]), p - 2, p) for k in range(n)]
-        for k in range(n - 1, -1, -1):
-            if k + 1 < n:
-                acc = (a[k, k + 1:].astype(np.float64) @ x[k + 1:].astype(np.float64))
-                x[k] = (x[k] - acc.astype(np.int64) % p) % p
-            x[k] = (x[k] * inv_diag[k]) % p
-        return x
-
-
-def _rational_reconstruct(a, m):
-    """Unique n/d with a*d = n mod m and |n|, d <= sqrt(m/2), if it exists."""
-    from math import isqrt
-
-    m = int(m)
-    a = int(a) % m
-    lo = isqrt(m // 2)
-    r0, r1 = m, a
-    s0, s1 = 0, 1
-    while r1 > lo:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > lo:
-        return None
-    if s1 < 0:
-        r1, s1 = -r1, -s1
-    if (a * s1 - r1) % m != 0:
-        return None
-    return Fraction(r1, s1)
 
 
 class SpanSolver:
@@ -740,10 +524,6 @@ class SpanSolver:
         for gen in generators:
             if not self.append(gen):
                 raise ValueError("generators are linearly dependent")
-
-    @classmethod
-    def empty(cls):
-        return cls([])
 
     def append(self, gen) -> bool:
         """Add a generator; False when it is dependent on the current span."""

@@ -160,7 +160,7 @@ class GradedInclusion:
         tminus = tgt.minus_indices()
         tpos = {t: p for p, t in enumerate(tminus)}
         cols = list(src.minus_indices())
-        probe = SpanSolver.empty()
+        probe = SpanSolver([])
         for i in cols:
             neg = self.minus_part({i: _F1})
             if not probe.append({tpos[t]: c for t, c in neg.items()}):
@@ -490,7 +490,9 @@ def normality_transfer_check(qc, cr, co, phi1, phi2, phic, seeds=10) -> dict:
             break
         combo = Cochain(qc, 2)
         for s in sols:
-            combo = combo + s.scale(Fraction(rng.randint(-2, 2)))
+            r = Fraction(rng.randint(-2, 2))
+            for key, vec in s.coeffs.items():
+                combo.add_term(key, vec, r)
         samples.append(combo)
     ok = True
     for kappa in samples:
@@ -739,7 +741,9 @@ def inverse_normality_check(qc, cr, co, phi1, phi2, phic, seeds=10) -> dict:
             break
         combo = Cochain(co, 2)
         for s in sols:
-            combo = combo + s.scale(Fraction(rng.randint(-2, 2)))
+            r = Fraction(rng.randint(-2, 2))
+            for key, vec in s.coeffs.items():
+                combo.add_term(key, vec, r)
         samples.append(combo)
     ok = True
     part1_all_zero = True

@@ -164,6 +164,19 @@ def test_random_metrics_dim2_refused(tmp_path):
         assert text == ""
 
 
+def test_n_below_one_refused(tmp_path, capsys):
+    for args in (
+        ("model", "--n", "0", "--samples", "2"),
+        ("inclusions", "--n", "0"),
+        ("dump", "--n", "0"),
+        ("model", "--metric", "heisenberg", "--n", "-1"),
+    ):
+        code, text = _run(tmp_path, *args)
+        assert code == 4
+        assert text == ""
+        assert "usage error: --n must be at least 1" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_random_metrics_nonfinite_residual_fails():
     from qcfeff.cli import suite_random_metrics
