@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .exact import kernel_basis
+from .exact import _add_scaled, kernel_basis
 from .gradedlie import GradedLieAlgebra
 
 _F0 = Fraction(0)
@@ -61,12 +61,7 @@ class Cochain:
         if not vec:
             return
         tgt = self.coeffs.setdefault(key, {})
-        for m, c in vec.items():
-            s = tgt.get(m, _F0) + scale * c
-            if s:
-                tgt[m] = s
-            else:
-                tgt.pop(m, None)
+        _add_scaled(tgt, vec, scale)
         if not tgt:
             del self.coeffs[key]
 
@@ -109,13 +104,7 @@ class Cochain:
 
         def rec(pos, idx, coef):
             if pos == len(items):
-                vec = self.value_at(tuple(idx))
-                for m, c in vec.items():
-                    s = out.get(m, _F0) + coef * c
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
+                _add_scaled(out, self.value_at(tuple(idx)), coef)
                 return
             for i, a in items[pos]:
                 rec(pos + 1, idx + [i], coef * a)
@@ -362,24 +351,12 @@ def codiff_part2_at(phi: Cochain, yvec):
     brackets = {}
     for i, y in yvec.items():
         for t, br in tables.minus_brackets[i]:
-            acc = brackets.setdefault(t, {})
-            for j, c in br.items():
-                s = acc.get(j, _F0) + y * c
-                if s:
-                    acc[j] = s
-                else:
-                    acc.pop(j, None)
+            _add_scaled(brackets.setdefault(t, {}), br, y)
     out = {}
     for t, br_minus in sorted(brackets.items()):
         if not br_minus:
             continue
-        vec = phi.eval_vectors(br_minus, {tables.minus[t]: _F1})
-        for m, c in vec.items():
-            acc = out.get(m, _F0) + c
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
+        _add_scaled(out, phi.eval_vectors(br_minus, {tables.minus[t]: _F1}))
     return out
 
 
@@ -401,12 +378,7 @@ def _wedge_boundary(alg, n, coeffs):
 
     def add(key, vec, scl):
         tgt = out.setdefault(key, {})
-        for m, c in vec.items():
-            s = tgt.get(m, _F0) + scl * c
-            if s:
-                tgt[m] = s
-            else:
-                tgt.pop(m, None)
+        _add_scaled(tgt, vec, scl)
         if not tgt:
             del out[key]
 

@@ -33,6 +33,20 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+def _add_scaled(acc, vec, scale=_F1):
+    """acc += scale * vec in place on sparse {key: value} dicts.
+
+    The owner of the zero-free invariant: an entry whose sum is 0 is
+    dropped, so two such vectors are equal exactly when they compare ==.
+    """
+    for k, c in vec.items():
+        s = acc.get(k, _F0) + scale * c
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+
+
 class Quaternion:
     """Exact quaternion a + b*i + c*j + d*k over Fraction components."""
 
@@ -546,18 +560,8 @@ class SpanSolver:
         for key, prow, pcoeff in self.pivots:
             v = row.get(key)
             if v:
-                for k, w in prow.items():
-                    nv = row.get(k, _F0) - v * w
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
-                for k, w in pcoeff.items():
-                    nv = coeff.get(k, _F0) - v * w
-                    if nv:
-                        coeff[k] = nv
-                    else:
-                        coeff.pop(k, None)
+                _add_scaled(row, prow, -v)
+                _add_scaled(coeff, pcoeff, -v)
         return row, coeff
 
     def coords(self, vec):

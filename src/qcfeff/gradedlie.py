@@ -24,6 +24,7 @@ from .exact import (
     Quaternion,
     Q_UNITS,
     SpanSolver,
+    _add_scaled,
     kernel_basis,
     realify_C,
     realify_H,
@@ -298,13 +299,7 @@ class GradedLieAlgebra:
             for j, b in v.items():
                 br = table.get((i, j))
                 if br:
-                    ab = a * b
-                    for l, c in br.items():
-                        s = out.get(l, _F0) + ab * c
-                        if s:
-                            out[l] = s
-                        else:
-                            out.pop(l, None)
+                    _add_scaled(out, br, a * b)
         return out
 
     def killing_vec(self, u, v) -> Fraction:

@@ -239,6 +239,19 @@ def test_kernel_vectors_are_primitive_int_certified(system):
             assert sum(Fraction(r) * x for r, x in zip(row, v)) == 0
 
 
+sparse_vecs = st.dictionaries(st.integers(0, 6), fracs.filter(bool), max_size=6)
+
+
+@given(sparse_vecs, sparse_vecs, st.one_of(st.none(), fracs))
+@settings(max_examples=200, deadline=None)
+def test_add_scaled_matches_dense_sum(acc, vec, scale):
+    r = 1 if scale is None else scale
+    expect = [acc.get(k, 0) + r * vec.get(k, 0) for k in range(7)]
+    exact._add_scaled(acc, vec, *(() if scale is None else (scale,)))  # updates acc in place
+    assert all(c != 0 for c in acc.values())
+    assert [acc.get(k, 0) for k in range(7)] == expect
+
+
 def test_span_solver():
     # the columns of [[2, 0], [1, 1]]: 2 * (2, 1) + 1 * (0, 1) = (4, 3)
     assert SpanSolver([{0: 2, 1: 1}, {1: 1}]).coords({0: 4, 1: 3}) == [2, 1]

@@ -128,6 +128,7 @@ def test_structural_conditions_pass(inclusions1, inclusions2):
 def test_structural_negative_control(inclusions1):
     _, _, _, phi1, _, _ = inclusions1
     bad = inc.degree_shuffled_inclusion(phi1)
+    assert not bad.is_homomorphism()
     assert not inc.check_structural_conditions(bad)["pass"]
 
 
@@ -216,6 +217,15 @@ def test_del_identities_n2(inclusions2):
         ]
 
 
+def test_del2_fails_for_wrong_killing_constant(inclusions1):
+    qc, cr, _, phi1, _, _ = inclusions1
+    kappa = random_cochain(qc, 2, 3, lo=-2, hi=2)
+    assert inc.del2_identity_check(phi1, kappa)["all_exact_zero"]
+    doubled = inc.GradedInclusion(qc, cr, phi1.img)
+    doubled.killing_constant = 2 * phi1.killing_constant
+    assert not inc.del2_identity_check(doubled, kappa)["all_exact_zero"]
+
+
 def test_del2_supported_away(inclusions1):
     """Both sides vanish for cochains not reachable from the corner element."""
     qc, _, _, phi1, _, _ = inclusions1
@@ -254,6 +264,26 @@ def test_inverse_normality(inclusions1):
     assert rep["part1_all_zero"] and rep["part2_all_zero"]
     assert rep["dim_solution_space"] > 0
     assert rep["qc_trace_identity_constant"] is not None
+
+
+def test_holonomy_traces_build_their_arguments_once(inclusions1, monkeypatch):
+    """The trace arguments are fixed data: built once per call, not once per column."""
+    qc, cr, co, phi1, phi2, phic = inclusions1
+    calls = {"corner": 0, "right_mult": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(inc, "corner_bracket_map", counted("corner", inc.corner_bracket_map))
+    monkeypatch.setattr(inc, "_entry_right_mult", counted("right_mult", inc._entry_right_mult))
+    sols = inc.holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True)
+    assert sols
+    assert calls["corner"] <= 1
+    assert calls["right_mult"] <= 3 * len(qc.by_degree[-1])
 
 
 def test_inverse_negative_control(inclusions1):
