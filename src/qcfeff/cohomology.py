@@ -9,7 +9,9 @@ through the wedge picture on Lambda^n p_+ (x) g, where it is the Lie
 homology boundary of p_+.  The two routes are exact cross-oracles.
 On a homogeneity block the Laplacian is assembled once from integer
 multiples of the same structure tables; the per-cochain operators are
-the reference its columns are tested against.
+the reference its columns are tested against.  Both codifferential
+parts on C^2 also act on integer cochains through those tables
+(``_part1_ints``, ``_part2_ints_at``) for the inclusion checks.
 
 Sign conventions: the identification of C^2 with Lambda^2 p_+ (x) g
 carries a global factor -1 (and C^3 a factor +1) so that the wedge
@@ -52,7 +54,7 @@ class Cochain:
                     self.coeffs[tuple(key)] = v
 
     def copy(self):
-        return Cochain(self.alg, self.degree, {k: dict(v) for k, v in self.coeffs.items()})
+        return _cochain(self.alg, self.degree, {k: dict(v) for k, v in self.coeffs.items()})
 
     def is_zero(self):
         return not self.coeffs
@@ -79,7 +81,9 @@ class Cochain:
 
     def scale(self, r):
         r = _F0 + r
-        return Cochain(
+        if not r:
+            return Cochain(self.alg, self.degree)
+        return _cochain(
             self.alg,
             self.degree,
             {k: {m: c * r for m, c in v.items()} for k, v in self.coeffs.items()},
@@ -131,6 +135,13 @@ class Cochain:
             and self.degree == o.degree
             and (self - o).is_zero()
         )
+
+
+def _cochain(alg, degree, coeffs):
+    """A Cochain over coeffs that already hold nonzero Fractions only."""
+    out = Cochain(alg, degree)
+    out.coeffs = coeffs
+    return out
 
 
 def _perm_sign(order):
@@ -325,6 +336,70 @@ def _part1(phi: Cochain) -> Cochain:
         part1.add_term((a,), alg.bracket_vec(vec, duals[pos_of[b]]))
         part1.add_term((b,), alg.bracket_vec(vec, duals[pos_of[a]]), -_F1)
     return part1
+
+
+def _integer_coeffs(phi: Cochain):
+    """(L, the coefficients of L * phi as ints), L the lcm of their denominators."""
+    scale = _denominator_lcm(phi.coeffs.values())
+    return scale, {key: _scaled(vec, scale) for key, vec in phi.coeffs.items()}
+
+
+def _part1_ints(alg, coeffs):
+    """c_scale times part 1 of an integer C^2 cochain, as {x: {l: int}}.
+
+    ``coeffs`` maps increasing minus pairs (a, b) to {m: int}; the value
+    at e_a gains [phi(e_a, e_b), e^b] and the value at e_b gains
+    -[phi(e_a, e_b), e^a], read off dual_brackets.
+    """
+    tables = _tables(alg)
+    dual, pos_of = tables.ints.dual_brackets, tables.pos_of
+    out = {}
+    for (a, b), vec in coeffs.items():
+        at_a, at_b = out.setdefault(a, {}), out.setdefault(b, {})
+        pa, pb = pos_of[a], pos_of[b]
+        for m, c in vec.items():
+            _add_scaled(at_a, dual[m][pb], c)
+            _add_scaled(at_b, dual[m][pa], -c)
+    return {x: vec for x, vec in out.items() if vec}
+
+
+def _part2_ints_at(alg, coeffs, yvec):
+    """c_scale times part 2 at Y of an integer C^2 cochain, for integer Y.
+
+    Part 2 at Y is the sum over t of phi([Y, e^t]_-, e_t); a minus pair
+    (a, b) enters through the coefficient of e_a in [Y, e^b] and of e_b
+    in [Y, e^a], so the degree < 0 part of dual_brackets is all it reads.
+    """
+    tables = _tables(alg)
+    dual, pos_of = tables.ints.dual_brackets, tables.pos_of
+    out = {}
+    for (a, b), vec in coeffs.items():
+        pa, pb = pos_of[a], pos_of[b]
+        c = sum(y * (dual[i][pb].get(a, 0) - dual[i][pa].get(b, 0)) for i, y in yvec.items())
+        if c:
+            _add_scaled(out, vec, c)
+    return out
+
+
+def _part2_ints(alg, coeffs):
+    """c_scale times part 2 on every minus basis vector, as {y: {l: int}}."""
+    out = {}
+    for y in _tables(alg).minus:
+        vec = _part2_ints_at(alg, coeffs, {y: 1})
+        if vec:
+            out[y] = vec
+    return out
+
+
+def _codifferential_ints(alg, coeffs):
+    """2 c_scale times the codifferential part1 - 1/2 part2 of an integer C^2 cochain."""
+    out = {x: {l: 2 * c for l, c in vec.items()} for x, vec in _part1_ints(alg, coeffs).items()}
+    for y, vec in _part2_ints(alg, coeffs).items():
+        acc = out.setdefault(y, {})
+        _add_scaled(acc, vec, -1)
+        if not acc:
+            del out[y]
+    return out
 
 
 def codifferential_minus(phi: Cochain):

@@ -38,9 +38,11 @@ def _add_scaled(acc, vec, scale=_F1):
 
     The owner of the zero-free invariant: an entry whose sum is 0 is
     dropped, so two such vectors are equal exactly when they compare ==.
+    Integer operands give integer sums; a Fraction operand gives a
+    Fraction.
     """
     for k, c in vec.items():
-        s = acc.get(k, _F0) + scale * c
+        s = acc.get(k, 0) + scale * c
         if s:
             acc[k] = s
         else:

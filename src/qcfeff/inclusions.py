@@ -12,12 +12,20 @@ consequences, all in exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from typing import NamedTuple
 
 from .cohomology import (
     Cochain,
-    _part1,
-    codiff_part2_at,
-    codifferential,
+    _codifferential_ints,
+    _denominator_lcm,
+    _integer_coeffs,
+    _part1_ints,
+    _part2_ints,
+    _part2_ints_at,
+    _scaled,
+    _tables,
+    _times,
     codifferential_minus,
     random_cochain,
 )
@@ -30,6 +38,23 @@ _F1 = Fraction(1)
 
 class InclusionError(RuntimeError):
     pass
+
+
+class _IntTransfer(NamedTuple):
+    """Integer tables of one inclusion that the seeded transfer checks read.
+
+    Each table is an integer multiple of its rational map: img and
+    weights carry den, the induction minors xi_den ** 2, and proj
+    proj_den.
+    """
+
+    den: int  # lcm of the denominators of phi's image vectors
+    img: list  # img[i]: {t: den phi(e_i)_t}
+    weights: dict  # weights[x]: {t: den phi_-(e_x)_t}, x in the source g_-
+    xi_den: int  # lcm of the denominators of the minus-only xi vectors
+    induce: dict  # (i, j) -> [(target pair, xi_den^2 (xi_a^i xi_b^j - xi_a^j xi_b^i))]
+    proj_den: int
+    proj: dict  # proj[t]: {i: proj_den x_i(e_t)}, x the Killing projection's coordinates
 
 
 class GradedInclusion:
@@ -46,9 +71,14 @@ class GradedInclusion:
                 img.append({t: c for t, c in enumerate(coeffs) if c})
         self.img = img
         self.killing_constant = self._solve_killing_constant()
+        self._reset_caches()
+
+    def _reset_caches(self):
+        """Drop the data derived from img; each piece is rebuilt on first use."""
         self._span = None
         self._induce_data = None
         self._proj_data = None
+        self._transfer_data = None
 
     # -- basic maps -------------------------------------------------------
 
@@ -117,8 +147,8 @@ class GradedInclusion:
         coeffs = self.image_solver().coords(tvec)
         return {i: c for i, c in enumerate(coeffs) if c}
 
-    def project_to_image(self, tvec):
-        """Killing-orthogonal projection of a target vector onto phi(g)."""
+    def _projection(self):
+        """Killing covectors of the image vectors and the reduced Gram columns."""
         if self._proj_data is None:
             # Killing covectors of the image vectors, and the Gram columns
             # reduced once; coords then solves gram x = rhs on every call
@@ -136,7 +166,11 @@ class GradedInclusion:
                 self._proj_data = (covs, SpanSolver(columns))
             except ValueError:
                 raise InclusionError("projection failed: degenerate Gram (bug)") from None
-        covs, gram = self._proj_data
+        return self._proj_data
+
+    def project_to_image(self, tvec):
+        """Killing-orthogonal projection of a target vector onto phi(g)."""
+        covs, gram = self._projection()
         x = gram.coords({i: _pair(cov, tvec) for i, cov in enumerate(covs)})
         return self.apply({i: c for i, c in enumerate(x) if c})
 
@@ -204,6 +238,41 @@ class GradedInclusion:
                     out.add_term((tminus[a], tminus[b]), self.apply(val))
         return out
 
+    def _transfer(self) -> _IntTransfer:
+        """The integer tables of the transfer checks, built on first use."""
+        if self._transfer_data is not None:
+            return self._transfer_data
+        src, tgt = self.source, self.target
+        den = _denominator_lcm(self.img)
+        img = [_scaled(vec, den) for vec in self.img]
+        weights = {
+            x: {t: c for t, c in img[x].items() if tgt.degrees[t] < 0}
+            for x in src.minus_indices()
+        }
+        tminus, xi, _ = self._induction()
+        xi_den = _denominator_lcm(minus_only for _, minus_only in xi)
+        xs = [_scaled(minus_only, xi_den) for _, minus_only in xi]
+        minors = {}
+        for a, b in combinations(range(len(tminus)), 2):
+            tkey = (tminus[a], tminus[b])
+            for i, u in xs[a].items():
+                for j, v in xs[b].items():
+                    if i != j:
+                        key, sign = ((i, j), 1) if i < j else ((j, i), -1)
+                        _add_scaled(minors.setdefault(key, {}), {tkey: sign * u * v}, 1)
+        induce = {key: list(row.items()) for key, row in minors.items() if row}
+        # x = G^-1 (B(phi(e_k), .))_k: column k of G^-1 from the reduced Gram
+        covs, gram = self._projection()
+        proj = {}
+        for k, cov in enumerate(covs):
+            ginv_k = {i: g for i, g in enumerate(gram.coords({k: _F1})) if g}
+            for t, c in cov.items():
+                _add_scaled(proj.setdefault(t, {}), ginv_k, c)
+        proj_den = _denominator_lcm(proj.values())
+        proj = {t: _scaled(vec, proj_den) for t, vec in proj.items() if vec}
+        self._transfer_data = _IntTransfer(den, img, weights, xi_den, induce, proj_den, proj)
+        return self._transfer_data
+
     def recover_cochain(self, tilde: Cochain) -> Cochain:
         """Pull back through phi: kappa(X, Y) = phi^{-1} tilde(phi_- X, phi_- Y)."""
         src = self.source
@@ -217,6 +286,37 @@ class GradedInclusion:
                 if val:
                     out.add_term((a, b), self.preimage(val))
         return out
+
+
+def _apply_ints(img, vec):
+    """sum of vec[i] * img[i] over integer vectors."""
+    out = {}
+    for i, a in vec.items():
+        _add_scaled(out, img[i], a)
+    return out
+
+
+def _induce_ints(data: _IntTransfer, coeffs):
+    """xi_den^2 den times the induced cochain of an integer C^2 cochain."""
+    out = {}
+    for key, vec in coeffs.items():
+        row = data.induce.get(key)
+        if row:
+            val = _apply_ints(data.img, vec)
+            for tkey, minor in row:
+                _add_scaled(out.setdefault(tkey, {}), val, minor)
+    return {key: vec for key, vec in out.items() if vec}
+
+
+def _induced_closed(phi: GradedInclusion, kappa: Cochain) -> bool:
+    """True when the codifferential of phi.induce_cochain(kappa) is zero."""
+    _, coeffs = _integer_coeffs(kappa)
+    return not _codifferential_ints(phi.target, _induce_ints(phi._transfer(), coeffs))
+
+
+def _equal_scaled(u, su, v, sv):
+    """u / su == v / sv for zero-free integer vectors and nonzero scales."""
+    return {k: c * sv for k, c in u.items()} == {k: c * su for k, c in v.items()}
 
 
 def _pair(cov, vec):
@@ -354,21 +454,37 @@ def check_structural_conditions(phi: GradedInclusion) -> dict:
 
 
 def del1_identity_check(phi: GradedInclusion, kappa: Cochain) -> dict:
-    """Exact residuals of the first transfer identity on every g_- basis."""
-    src = phi.source
-    tilde = phi.induce_cochain(kappa)
+    """Exact residuals of the first transfer identity on every g_- basis.
+
+    c phi(part1(kappa)(x)) = proj(part1(tilde)(phi_-(x))) with tilde the
+    induced cochain; both sides lie in phi(g), so they are compared in
+    source coordinates.  Everything runs on integer multiples of the
+    rational values (see _IntTransfer, cohomology._IntTables), and the
+    two sides are compared by cross-multiplying their scales.
+    """
+    src, tgt = phi.source, phi.target
+    data = phi._transfer()
+    _, coeffs = _integer_coeffs(kappa)
+    part1 = _part1_ints(src, coeffs)
+    tilde_part1 = _part1_ints(tgt, _induce_ints(data, coeffs))
     c = phi.killing_constant
-    part1 = _part1(kappa).coeffs
-    tilde_part1 = _part1(tilde).coeffs
+    # part1 is c_src L times part 1 of kappa, coords (below) is
+    # proj_den den^2 c_tgt xi_den^2 L times the projected coordinates, and
+    # c = c_num / c_den: the sides agree when part1 / lhs_scale == coords / rhs_scale
+    lhs_scale = c.denominator * _tables(src).ints.c_scale
+    rhs_scale = (
+        c.numerator * data.proj_den * data.den ** 2 * _tables(tgt).ints.c_scale * data.xi_den ** 2
+    )
     all_zero = True
     for x in src.minus_indices():
-        lhs = phi.apply(part1.get((x,), {}))
-        lhs = {k: c * v for k, v in lhs.items()}
         # part 1 is linear in its argument: phi_-(x)'s value from the basis values
         at_image = {}
-        for t, a in phi.minus_part({x: _F1}).items():
-            _add_scaled(at_image, tilde_part1.get((t,), {}), a)
-        if lhs != phi.project_to_image(at_image):
+        for t, w in data.weights[x].items():
+            _add_scaled(at_image, tilde_part1.get(t, {}), w)
+        coords = {}
+        for t, a in at_image.items():
+            _add_scaled(coords, data.proj.get(t, {}), a)
+        if not _equal_scaled(part1.get(x, {}), lhs_scale, coords, rhs_scale):
             all_zero = False
     return {
         "inclusion": "%s->%s" % (src.name, phi.target.name),
@@ -379,20 +495,27 @@ def del1_identity_check(phi: GradedInclusion, kappa: Cochain) -> dict:
 
 def del2_identity_check(phi: GradedInclusion, kappa: Cochain, unit="i") -> dict:
     """Exact three-way check of the second transfer identity at a corner."""
-    src = phi.source
+    src, tgt = phi.source, phi.target
     xi_idx = _corner_index(src, unit)
-    tilde = phi.induce_cochain(kappa)
+    data = phi._transfer()
+    _, coeffs = _integer_coeffs(kappa)
+    tilde = _induce_ints(data, coeffs)
     c = phi.killing_constant
-    lhs = phi.apply(codiff_part2_at(kappa, {xi_idx: _F1}))
-    lhs = {k: 2 * c * v for k, v in lhs.items()}
-    mid = codiff_part2_at(tilde, phi.apply({xi_idx: _F1}))
-    split = phi.component_split({xi_idx: _F1})
-    rhs = codiff_part2_at(tilde, split.get(-2, {}))
+    # lhs is c_src L den times phi(part2(kappa)(xi)); mid and rhs are
+    # c_tgt xi_den^2 den^2 L times part2(tilde) at phi(xi) and at its
+    # degree -2 part; with c = c_num / c_den, 2c phi(part2(kappa)(xi))
+    # equals part2(tilde)(phi(xi)) when lhs / lhs_scale == mid / mid_scale
+    lhs = _apply_ints(data.img, _part2_ints_at(src, coeffs, {xi_idx: 1}))
+    y = data.img[xi_idx]
+    mid = _part2_ints_at(tgt, tilde, y)
+    rhs = _part2_ints_at(tgt, tilde, {t: v for t, v in y.items() if tgt.degrees[t] == -2})
+    lhs_scale = c.denominator * _tables(src).ints.c_scale
+    mid_scale = 2 * c.numerator * _tables(tgt).ints.c_scale * data.xi_den ** 2 * data.den
     return {
-        "inclusion": "%s->%s" % (src.name, phi.target.name),
+        "inclusion": "%s->%s" % (src.name, tgt.name),
         "lemma": "codiff-part2",
         "element": unit,
-        "all_exact_zero": lhs == mid == rhs,
+        "all_exact_zero": mid == rhs and _equal_scaled(lhs, lhs_scale, mid, mid_scale),
     }
 
 
@@ -426,9 +549,11 @@ def _cochain_from_params(alg, pair_keys, value_vectors, coeffs):
 
 
 def normal_torsionfree_space(qc, phi_qc_co):
-    """Exact basis of {kappa : values in p_co ∩ g_qc, both codiff parts zero}."""
-    from itertools import combinations
+    """Exact basis of {kappa : values in p_co ∩ g_qc, both codiff parts zero}.
 
+    The rows are c_scale times both codifferential parts of each column's
+    basis cochain, read off the integer tables.
+    """
     vals = p_co_cap_gqc(phi_qc_co)
     minus = qc.minus_indices()
     pair_keys = list(combinations(minus, 2))
@@ -438,12 +563,14 @@ def normal_torsionfree_space(qc, phi_qc_co):
             cols.append((key, vec))
     rows = {}
     for t, (key, vec) in enumerate(cols):
-        basis_cochain = Cochain(qc, 2, {key: vec})
-        p1, p2 = codifferential_minus(basis_cochain)
-        for tag, part in (("p1", p1), ("p2", p2)):
-            for tkey, tvec in part.coeffs.items():
+        basis_cochain = {key: vec}
+        for tag, part in (
+            ("p1", _part1_ints(qc, basis_cochain)),
+            ("p2", _part2_ints(qc, basis_cochain)),
+        ):
+            for x, tvec in part.items():
                 for m, c in tvec.items():
-                    rows.setdefault((tag, tkey, m), {})[t] = c
+                    rows.setdefault((tag, (x,), m), {})[t] = c
     sols = kernel_basis(list(rows.values()), len(cols))
     out = []
     for vec in sols:
@@ -467,11 +594,7 @@ def normality_transfer_check(qc, cr, co, phi1, phi2, phic, seeds=10) -> dict:
             for key, vec in s.coeffs.items():
                 combo.add_term(key, vec, r)
         samples.append(combo)
-    ok = True
-    for kappa in samples:
-        for phi in (phi1, phic):
-            if not codifferential(phi.induce_cochain(kappa)).is_zero():
-                ok = False
+    ok = all(_induced_closed(phi, kappa) for kappa in samples for phi in (phi1, phic))
     return {
         "inclusion": "chain",
         "lemma": "normality-transfer",
@@ -485,15 +608,15 @@ def normality_negative_control(qc, phi1, seed=5) -> dict:
     """A generic g_0-valued cochain with nonzero part1 must fail upstairs."""
     g0 = qc.by_degree[0]
     kappa = random_cochain(qc, 2, seed, value_indices=g0)
-    p1 = _part1(kappa)
-    failed = not codifferential(phi1.induce_cochain(kappa)).is_zero()
+    part1_nonzero = bool(_part1_ints(qc, _integer_coeffs(kappa)[1]))
+    failed = not _induced_closed(phi1, kappa)
     return {
         "inclusion": "%s->%s" % (qc.name, phi1.target.name),
         "lemma": "normality-negative-control",
         "counterexample_seed": seed,
-        "source_part1_nonzero": not p1.is_zero(),
+        "source_part1_nonzero": part1_nonzero,
         "induced_nonclosed": failed,
-        "pass": (not p1.is_zero()) and failed,
+        "pass": part1_nonzero and failed,
     }
 
 
@@ -516,14 +639,15 @@ def holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True):
     direction; closed for the upstairs codifferential; and (optionally)
     the three quaternionic trace constraints plus the complex-trace
     constraint of the intermediate algebra.
-    """
-    from itertools import combinations
 
+    Column (a, b, v) is the cochain eps^a ^ eps^b (x) phi(e_v), eps the
+    coframe dual to the adapted frame.  Each row is a positive integer
+    multiple of its rational constraint: the codifferential is read off
+    the integer tables, and a trace row is its pairs' sum of
+    sign (eps^a(u) eps^b(w) - eps^b(u) eps^a(w)) times phi(e_v).
+    """
     frame = _adapted_minus_frame(phic)
-    qminus = qc.minus_indices()
-    nq = len(qminus)
-    pair_keys = list(combinations(range(nq), 2))
-    values = [phic.apply({i: _F1}) for i in range(qc.dim)]
+    nq = len(qc.minus_indices())
     # change of basis: express the standard target minus basis in the frame
     tminus = co.minus_indices()
     tpos = {t: p for p, t in enumerate(tminus)}
@@ -532,42 +656,44 @@ def holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True):
         inv = [frame_solver.coords({p: _F1}) for p in range(len(tminus))]
     except ValueError:
         raise InclusionError("adapted minus frame is degenerate") from None
+    inv_den = _denominator_lcm(dict(enumerate(row)) for row in inv)
+    inv = [[_times(c, inv_den) for c in row] for row in inv]
+    # forms[(a, b)]: inv_den^2 (eps^a ^ eps^b) on the target minus pairs
+    forms = {}
+    for a, b in combinations(range(nq), 2):
+        form = {}
+        for p, q in combinations(range(len(tminus)), 2):
+            coeff = inv[p][a] * inv[q][b] - inv[p][b] * inv[q][a]
+            if coeff:
+                form[(tminus[p], tminus[q])] = coeff
+        forms[(a, b)] = form
+    values = phic._transfer().img
     # columns: (pair of qc minus positions, value index in g_qc)
-    cols = [(key, v) for key in pair_keys for v in range(qc.dim)]
-
-    def column_cochain(key, valv):
-        a, b = key
-        out = Cochain(co, 2)
-        tvec = values[valv]
-        for p in range(len(tminus)):
-            ca_p = inv[p][a]
-            for q in range(p + 1, len(tminus)):
-                coeff = ca_p * inv[q][b] - inv[p][b] * inv[q][a]
-                if coeff:
-                    out.add_term((tminus[p], tminus[q]), tvec, coeff)
-        return out
-
-    col_cochains = [column_cochain(key, v) for key, v in cols]
+    cols = [(key, v) for key in forms for v in range(qc.dim)]
     traces = []
     if with_traces:
         traces = [(("qtrace", unit), _qc_trace_pairs(qc, phic, unit)) for unit in "ijk"]
         traces.append((("ctrace",), _cr_trace_pairs(cr, phi2)))
+    traces = [(tag, _trace_scalars(pairs, inv, tminus, forms)) for tag, pairs in traces]
     rows = {}
-    for t, coch in enumerate(col_cochains):
-        for tkey, tvec in codifferential(coch).coeffs.items():
+    for t, (key, v) in enumerate(cols):
+        coeffs = {tkey: {m: c * w for m, w in values[v].items()} for tkey, c in forms[key].items()}
+        for x, tvec in _codifferential_ints(co, coeffs).items():
             for m, c in tvec.items():
-                rows.setdefault(("cod", tkey, m), {})[t] = c
-        for tag, pairs in traces:
-            for m, c in _trace(coch, pairs).items():
-                rows.setdefault(tag + (m,), {})[t] = c
+                rows.setdefault(("cod", (x,), m), {})[t] = c
+        for tag, scalars in traces:
+            if scalars[key]:
+                for m, w in values[v].items():
+                    rows.setdefault(tag + (m,), {})[t] = scalars[key] * w
     sols = kernel_basis(list(rows.values()), len(cols))
     out = []
     for vec in sols:
         coch = Cochain(co, 2)
         for t, c in enumerate(vec):
             if c:
-                for key, tvec in col_cochains[t].coeffs.items():
-                    coch.add_term(key, tvec, c)
+                key, v = cols[t]
+                for tkey, f in forms[key].items():
+                    coch.add_term(tkey, phic.img[v], Fraction(c * f, inv_den ** 2))
         out.append(coch)
     return out
 
@@ -640,11 +766,24 @@ def corner_square_constant(alg, unit="i"):
     return lam
 
 
-def _trace(tilde: Cochain, pairs):
-    """Sum of sign * tilde(u, w) over the (sign, u, w) argument pairs."""
-    out = {}
+def _trace_scalars(pairs, inv, tminus, forms):
+    """{(a, b): sum of sign (eps^a(u) eps^b(w) - eps^b(u) eps^a(w))} over the pairs.
+
+    eps^a(u) is read through the integer rows inv[p][a]; the sum is the
+    value of the column form forms[(a, b)] on (u, w).
+    """
+
+    def coframe(vec):
+        return [
+            sum(vec.get(t, 0) * inv[p][a] for p, t in enumerate(tminus))
+            for a in range(len(inv[0]))
+        ]
+
+    out = dict.fromkeys(forms, 0)
     for sgn, u, w in pairs:
-        _add_scaled(out, tilde.eval_vectors(u, w), sgn)
+        eu, ew = coframe(u), coframe(w)
+        for a, b in forms:
+            out[(a, b)] += sgn * (eu[a] * ew[b] - eu[b] * ew[a])
     return out
 
 
@@ -866,7 +1005,5 @@ def degree_shuffled_inclusion(phi: GradedInclusion) -> GradedInclusion:
     flipped.target = phi.target
     flipped.img = img
     flipped.killing_constant = phi.killing_constant
-    flipped._span = None
-    flipped._induce_data = None
-    flipped._proj_data = None
+    flipped._reset_caches()
     return flipped

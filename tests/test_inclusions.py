@@ -1,7 +1,12 @@
+import copy
+import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcfeff import cohomology as coh
 from qcfeff import inclusions as inc
@@ -284,6 +289,161 @@ def test_holonomy_traces_build_their_arguments_once(inclusions1, monkeypatch):
     assert sols
     assert calls["corner"] <= 1
     assert calls["right_mult"] <= 3 * len(qc.by_degree[-1])
+
+
+def _cochain_digest(cochains):
+    """SHA-256 over every (key, value index, coefficient) of a list of cochains."""
+    h = hashlib.sha256()
+    for coch in cochains:
+        for key in sorted(coch.coeffs):
+            vec = coch.coeffs[key]
+            for m in sorted(vec):
+                h.update(("%s %s %s;" % (key, m, vec[m])).encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+# taken from the per-cochain construction (one Cochain per column through
+# codifferential_minus / codifferential and the traces' eval_vectors)
+_SOLUTION_DIGESTS = {
+    "normal_torsionfree": "4bf860b6e345962bcbfa142e366bf0831a863c79bc32a20436a2e86dd6a91ae6",
+    "holonomy_traces": "c4463f2579014402c84c351b736ba2a1b1e4acb8146bd3dba638b1aa4084e219",
+    "holonomy_no_traces": "30b70edef63da72f7afc88d7265f910c652624736e51c3b3a10d4b3fb87dae9a",
+}
+
+
+def test_solution_spaces_pinned(inclusions1):
+    """The integer rows give the same solution cochains as the per-cochain rows."""
+    qc, cr, co, phi1, phi2, phic = inclusions1
+    sols, _ = inc.normal_torsionfree_space(qc, phic)
+    assert len(sols) == 161
+    assert _cochain_digest(sols) == _SOLUTION_DIGESTS["normal_torsionfree"]
+    for traces, tag, dim in ((True, "holonomy_traces", 161), (False, "holonomy_no_traces", 182)):
+        sols = inc.holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=traces)
+        assert len(sols) == dim
+        assert _cochain_digest(sols) == _SOLUTION_DIGESTS[tag]
+
+
+def _fraction_cochain(alg, rng):
+    """A C^2 cochain on a few random pairs; every entry p/q has q in 2..6."""
+    out = Cochain(alg, 2)
+    pairs = list(combinations(alg.minus_indices(), 2))
+    for key in rng.sample(pairs, rng.randint(1, 6)):
+        vec = {
+            m: Fraction(rng.choice((-7, -1, 1, 7)), rng.randint(2, 6))
+            for m in rng.sample(range(alg.dim), 4)
+        }
+        out.add_term(key, vec)
+    return out
+
+
+def _del1_oracle(phi, kappa):
+    """The first transfer identity through the per-cochain Fraction operators."""
+    tilde = phi.induce_cochain(kappa)
+    c = phi.killing_constant
+    part1 = coh._part1(kappa).coeffs
+    tilde_part1 = coh._part1(tilde).coeffs
+    for x in phi.source.minus_indices():
+        lhs = {k: c * v for k, v in phi.apply(part1.get((x,), {})).items()}
+        at_image = {}
+        for t, a in phi.minus_part({x: F1}).items():
+            for k, v in tilde_part1.get((t,), {}).items():
+                at_image[k] = at_image.get(k, F0) + a * v
+        if lhs != phi.project_to_image({k: v for k, v in at_image.items() if v}):
+            return False
+    return True
+
+
+def _del2_oracle(phi, kappa, unit="i"):
+    xi_idx = inc._corner_index(phi.source, unit)
+    tilde = phi.induce_cochain(kappa)
+    c = phi.killing_constant
+    lhs = {k: 2 * c * v for k, v in phi.apply(codiff_part2_at(kappa, {xi_idx: F1})).items()}
+    mid = codiff_part2_at(tilde, phi.apply({xi_idx: F1}))
+    rhs = codiff_part2_at(tilde, phi.component_split({xi_idx: F1}).get(-2, {}))
+    return lhs == mid == rhs
+
+
+def _closed_oracle(phi, kappa):
+    return coh.codifferential(phi.induce_cochain(kappa)).is_zero()
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    factor=st.sampled_from([F1, Fraction(2), Fraction(-1, 3)]),
+    perturb=st.booleans(),
+)
+def test_integer_transfer_checks_match_fraction_oracle(inclusions1, seed, factor, perturb):
+    """del1, del2 and the normality closure give the Fraction oracle's verdict.
+
+    The cochains have entries with non-unit denominators; a Killing
+    constant scaled by factor != 1 makes the del identities fail, and
+    closed cochains (combinations of the normal solution space and their
+    induced images) make the closure test pass unless perturbed.
+    """
+    qc, cr, _, phi1, phi2, phic = inclusions1
+    rng = random.Random(seed)
+    for phi in (phi1, phi2):
+        scaled = copy.copy(phi)
+        scaled.killing_constant = factor * phi.killing_constant
+        kappa = _fraction_cochain(phi.source, rng)
+        scale, coeffs = coh._integer_coeffs(kappa)
+        assert scale > 1
+        data = phi._transfer()
+        tilde = inc._induce_ints(data, coeffs)
+        den = scale * data.xi_den ** 2 * data.den
+        assert tilde == {
+            k: {m: c * den for m, c in v.items()} for k, v in phi.induce_cochain(kappa).coeffs.items()
+        }
+        verdict = inc.del1_identity_check(scaled, kappa)["all_exact_zero"]
+        assert verdict == _del1_oracle(scaled, kappa)
+        assert verdict == (factor == 1 or not coh._part1(kappa).coeffs)
+        if phi is phi1:
+            assert inc.del2_identity_check(scaled, kappa)["all_exact_zero"] == _del2_oracle(scaled, kappa)
+    sols, _ = inc.normal_torsionfree_space(qc, phic)
+    kappa = Cochain(qc, 2)
+    for sol in rng.sample(sols, 3):
+        for key, vec in sol.coeffs.items():
+            kappa.add_term(key, vec, Fraction(rng.randint(-3, 3), rng.randint(1, 6)))
+    if perturb:
+        kappa = kappa + _fraction_cochain(qc, rng)
+    for phi, source in ((phi1, kappa), (phic, kappa), (phi2, phi1.induce_cochain(kappa))):
+        assert inc._induced_closed(phi, source) == _closed_oracle(phi, source)
+
+
+def test_seeded_del_checks_stay_in_integers(inclusions1, monkeypatch):
+    """A seeded del1 or del2 call runs no per-cochain Fraction operator."""
+    qc, cr, _, phi1, _, _ = inclusions1
+    calls = []
+
+    def refuse(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(coh, "_part1", refuse("_part1", coh._part1))
+    monkeypatch.setattr(Cochain, "eval_vectors", refuse("eval_vectors", Cochain.eval_vectors))
+    monkeypatch.setattr(
+        inc.GradedInclusion, "induce_cochain", refuse("induce_cochain", inc.GradedInclusion.induce_cochain)
+    )
+    fresh = inc.GradedInclusion(qc, cr, phi1.img)  # its tables are built inside the checks
+    kappa = random_cochain(qc, 2, 3, lo=-2, hi=2)
+    assert inc.del1_identity_check(fresh, kappa)["all_exact_zero"]
+    assert inc.del2_identity_check(fresh, kappa)["all_exact_zero"]
+    assert calls == []
+
+
+def test_shuffled_inclusion_rebuilds_every_cache(inclusions1):
+    """The shuffled copy starts from the same empty caches as a new inclusion."""
+    _, _, _, phi1, _, _ = inclusions1
+    phi1._transfer()
+    bad = inc.degree_shuffled_inclusion(phi1)
+    fresh = inc.GradedInclusion(phi1.source, phi1.target, phi1.img)
+    cached = [k for k in vars(fresh) if k.startswith("_")]
+    assert cached and all(getattr(bad, k) is None for k in cached)
 
 
 def test_inverse_negative_control(inclusions1):
