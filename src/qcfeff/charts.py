@@ -3,6 +3,9 @@
 A chart supplies a jet-evaluable metric; curvature tensors are
 assembled from Taylor coefficients at sample points, which are exact to
 truncation order, so residual noise comes only from float conditioning.
+Curvature and tractor data always read jets of order 3: the Cotton
+tensor, the Weyl divergence and the derivative rows of the tractor
+connection take third derivatives of the metric and of the field.
 
 Sign conventions, fixed here and arbitrated by the identity suites:
 R(u,v)w = [nabla_u, nabla_v]w - nabla_[u,v]w (round sphere positively
@@ -169,25 +172,24 @@ class VectorFieldOnChart:
 class CurvatureData:
     """Curvature tensors of a chart metric at one point."""
 
-    def __init__(self, chart: MetricChart, point, order=3):
+    def __init__(self, chart: MetricChart, point):
         self.chart = chart
         self.point = np.asarray(point, float)
-        self.order = order
         m = chart.dim
         self.m = m
-        sp = jet_space(m, order)
-        jets = chart.metric_jets(self.point, order)
+        sp = jet_space(m, 3)
+        jets = chart.metric_jets(self.point, 3)
         self.g = jets[:, :, 0].copy()
         if abs(np.linalg.det(self.g)) < 1e-12:
             raise ChartError("metric degenerate at sample point")
         self.dg = sp.derivative_tensor(jets, 1)
         self.d2g = sp.derivative_tensor(jets, 2)
-        self.d3g = sp.derivative_tensor(jets, 3) if order >= 3 else None
+        self.d3g = sp.derivative_tensor(jets, 3)
         self.ginv = np.linalg.inv(self.g)
         self._build()
 
     def _build(self):
-        g, dg, d2g, ginv = self.g, self.dg, self.d2g, self.ginv
+        g, dg, d2g, d3g, ginv = self.g, self.dg, self.d2g, self.d3g, self.ginv
         m = self.m
         dginv = -np.einsum("ae,efc,fb->abc", ginv, dg, ginv)
         self.dginv = dginv
@@ -204,26 +206,22 @@ class CurvatureData:
             "ade,dbc->abce", dginv, gamma_low
         )
 
-        if self.d3g is not None:
-            d3g = self.d3g
-            d2ginv = -(
-                np.einsum("aed,efc,fb->abcd", dginv, dg, ginv)
-                + np.einsum("ae,efcd,fb->abcd", ginv, d2g, ginv)
-                + np.einsum("ae,efc,fbd->abcd", ginv, dg, dginv)
-            )
-            d2gamma_low = 0.5 * (
-                d3g
-                + np.einsum("dcbef->dbcef", d3g)
-                - np.einsum("bcdef->dbcef", d3g)
-            )
-            self.d2gamma = (
-                np.einsum("ad,dbcef->abcef", ginv, d2gamma_low)
-                + np.einsum("ade,dbcf->abcef", dginv, dgamma_low)
-                + np.einsum("adf,dbce->abcef", dginv, dgamma_low)
-                + np.einsum("adef,dbc->abcef", d2ginv, gamma_low)
-            )
-        else:
-            self.d2gamma = None
+        d2ginv = -(
+            np.einsum("aed,efc,fb->abcd", dginv, dg, ginv)
+            + np.einsum("ae,efcd,fb->abcd", ginv, d2g, ginv)
+            + np.einsum("ae,efc,fbd->abcd", ginv, dg, dginv)
+        )
+        d2gamma_low = 0.5 * (
+            d3g
+            + np.einsum("dcbef->dbcef", d3g)
+            - np.einsum("bcdef->dbcef", d3g)
+        )
+        self.d2gamma = (
+            np.einsum("ad,dbcef->abcef", ginv, d2gamma_low)
+            + np.einsum("ade,dbcf->abcef", dginv, dgamma_low)
+            + np.einsum("adf,dbce->abcef", dginv, dgamma_low)
+            + np.einsum("adef,dbc->abcef", d2ginv, gamma_low)
+        )
 
         gam, dgam = self.gamma, self.dgamma
         self.riem = (
@@ -240,36 +238,32 @@ class CurvatureData:
         self.r4 = np.einsum("ta,azxy->xyzt", g, self.riem)
         self.weyl = self.r4 - _kulkarni(self.P, g)
 
-        if self.d2gamma is not None:
-            d2gam = self.d2gamma
-            driem = (
-                np.einsum("adbce->abcde", d2gam)
-                - np.einsum("acbde->abcde", d2gam)
-                + np.einsum("acfe,fdb->abcde", dgam, gam)
-                + np.einsum("acf,fdbe->abcde", gam, dgam)
-                - np.einsum("adfe,fcb->abcde", dgam, gam)
-                - np.einsum("adf,fcbe->abcde", gam, dgam)
-            )
-            self.driem = driem
-            self.dric = np.einsum("abade->bde", driem)
-            self.dscal = np.einsum("bd,bde->e", ginv, self.dric) + np.einsum(
-                "bde,bd->e", dginv, self.ric
-            )
-            self.dP = -(
-                self.dric
-                - np.einsum("e,bd->bde", self.dscal / (2.0 * (m - 1)), g)
-                - (self.scal / (2.0 * (m - 1))) * dg
-            ) / (m - 2)
-            # covP[c,a,b] = (nabla_c P)(a, b)
-            self.covP = (
-                np.einsum("abc->cab", self.dP)
-                - np.einsum("eca,eb->cab", gam, self.P)
-                - np.einsum("ecb,ae->cab", gam, self.P)
-            )
-            self.cotton = self.covP - np.einsum("cab->acb", self.covP)
-        else:
-            self.covP = None
-            self.cotton = None
+        d2gam = self.d2gamma
+        driem = (
+            np.einsum("adbce->abcde", d2gam)
+            - np.einsum("acbde->abcde", d2gam)
+            + np.einsum("acfe,fdb->abcde", dgam, gam)
+            + np.einsum("acf,fdbe->abcde", gam, dgam)
+            - np.einsum("adfe,fcb->abcde", dgam, gam)
+            - np.einsum("adf,fcbe->abcde", gam, dgam)
+        )
+        self.driem = driem
+        self.dric = np.einsum("abade->bde", driem)
+        self.dscal = np.einsum("bd,bde->e", ginv, self.dric) + np.einsum(
+            "bde,bd->e", dginv, self.ric
+        )
+        self.dP = -(
+            self.dric
+            - np.einsum("e,bd->bde", self.dscal / (2.0 * (m - 1)), g)
+            - (self.scal / (2.0 * (m - 1))) * dg
+        ) / (m - 2)
+        # covP[c,a,b] = (nabla_c P)(a, b)
+        self.covP = (
+            np.einsum("abc->cab", self.dP)
+            - np.einsum("eca,eb->cab", gam, self.P)
+            - np.einsum("ecb,ae->cab", gam, self.P)
+        )
+        self.cotton = self.covP - np.einsum("cab->acb", self.covP)
 
     # -- residuals ----------------------------------------------------------
 
@@ -290,8 +284,6 @@ class CurvatureData:
         The covariant derivative of the Weyl tensor is an m^5 array that
         only this check reads, so it is built here, not with the rest.
         """
-        if self.d2gamma is None:
-            raise ChartError("needs metric jets to order >= 3")
         g, dg, weyl = self.g, self.dg, self.weyl
         gam_t = self.gamma.transpose((0, 2, 1))
         dr4 = np.einsum("tae,azxy->xyzte", dg, self.riem) + np.einsum(
@@ -348,16 +340,15 @@ def _dkulkarni(p, dp, g, dg):
 class TractorData:
     """Adjoint-tractor components (gamma, -alpha, K, k) of a vector field."""
 
-    def __init__(self, curv: CurvatureData, field: VectorFieldOnChart, order=3):
+    def __init__(self, curv: CurvatureData, field: VectorFieldOnChart):
         self.curv = curv
         self.field = field
-        m = curv.m
-        sp = jet_space(m, order)
-        kj = field.jets(curv.point, order)
+        sp = jet_space(curv.m, 3)
+        kj = field.jets(curv.point, 3)
         self.k = kj[:, 0].copy()
         self.dk = sp.derivative_tensor(kj, 1)
         self.d2k = sp.derivative_tensor(kj, 2)
-        self.d3k = sp.derivative_tensor(kj, 3) if order >= 3 else None
+        self.d3k = sp.derivative_tensor(kj, 3)
         self._build()
 
     def _build(self):
@@ -387,17 +378,14 @@ class TractorData:
             + np.einsum("e,ec->c", gamtr, dk)
         ) / m
         self.dalpha = dalpha
-        if self.d3k is not None and c.d2gamma is not None:
-            d2gamtr = np.einsum("aaecd->ecd", c.d2gamma)
-            self.d2alpha = (
-                np.einsum("aacd->cd", self.d3k)
-                + np.einsum("ecd,e->cd", d2gamtr, k)
-                + np.einsum("ec,ed->cd", dgamtr, dk)
-                + np.einsum("ed,ec->cd", dgamtr, dk)
-                + np.einsum("e,ecd->cd", gamtr, d2k)
-            ) / m
-        else:
-            self.d2alpha = None
+        d2gamtr = np.einsum("aaecd->ecd", c.d2gamma)
+        self.d2alpha = (
+            np.einsum("aacd->cd", self.d3k)
+            + np.einsum("ecd,e->cd", d2gamtr, k)
+            + np.einsum("ec,ed->cd", dgamtr, dk)
+            + np.einsum("ed,ec->cd", dgamtr, dk)
+            + np.einsum("e,ecd->cd", gamtr, d2k)
+        ) / m
 
         self.kflat = g @ k
         self.dkflat = np.einsum("bce,c->be", dg, k) + np.einsum("bc,ce->be", g, dk)
@@ -418,10 +406,7 @@ class TractorData:
         self.Pk = c.P @ k
         self.gamma1 = self.Pk - dalpha  # the tractor one-form
         self.dPk = np.einsum("bce,c->be", c.dP, k) + np.einsum("bc,ce->be", c.P, dk)
-        if self.d2alpha is not None:
-            self.dgamma1 = self.dPk - self.d2alpha
-        else:
-            self.dgamma1 = None
+        self.dgamma1 = self.dPk - self.d2alpha
 
         self.nk = dk + np.einsum("abe,e->ab", gam, k)  # nabla_b k^a
         dnk = (
@@ -473,21 +458,20 @@ class TractorData:
         return worst((np.max(np.abs(r1)), abs(r2), np.max(np.abs(r3)), np.max(np.abs(r4))))
 
 
-def _tractors_at(chart, fields, point, order=3):
+def _tractors_at(chart, fields, point):
     """One TractorData per field, all sharing one CurvatureData of the point."""
-    curv = CurvatureData(chart, point, order)
-    return [TractorData(curv, field, order) for field in fields]
+    curv = CurvatureData(chart, point)
+    return [TractorData(curv, field) for field in fields]
 
 
-def conformal_killing_residual(chart, field, point, order=3):
+def conformal_killing_residual(chart, field, point):
     """(killing_residual, lam) of TractorData: L_k g - lam g, normalized."""
-    (td,) = _tractors_at(chart, (field,), point, max(order, 3))
+    (td,) = _tractors_at(chart, (field,), point)
     return td.killing_residual, td.lam
 
 
 def tractor_split(chart, field, point, tol=1e-8) -> TractorData:
-    curv = CurvatureData(chart, point, 3)
-    td = TractorData(curv, field, 3)
+    (td,) = _tractors_at(chart, (field,), point)
     if td.killing_residual > tol:
         raise NotConformalKilling(
             "field %s is not conformal Killing (residual %.3e)"
@@ -574,14 +558,14 @@ def sparling_summary(rows):
     }
 
 
-def sparling_invariants(chart, k1, k2, points, order=3, tol_pre=1e-8):
+def sparling_invariants(chart, k1, k2, points, tol_pre=1e-8):
     """The quaternionic Sparling scalars chi, beta_i and the third field.
 
     Checks the light-like/orthogonal/conformal-Killing preconditions at
     each point, evaluates all scalars, and reports their constancy.
     """
     rows = [
-        sparling_scalars(*_tractors_at(chart, (k1, k2), pt, order), tol_pre)
+        sparling_scalars(*_tractors_at(chart, (k1, k2), pt), tol_pre)
         for pt in points
     ]
     return sparling_summary(rows)
@@ -642,9 +626,9 @@ def trace_contractions(td: TractorData):
     }
 
 
-def trace_contraction_check(chart, field, point, order=3):
+def trace_contraction_check(chart, field, point):
     """trace_contractions of a field at a point of a chart."""
-    return trace_contractions(*_tractors_at(chart, (field,), point, order))
+    return trace_contractions(*_tractors_at(chart, (field,), point))
 
 
 def pseudo_orthonormal_frame(g, pivot_tol=1e-8):
@@ -762,17 +746,17 @@ def random_conf_factor(dim, seed, scale=0.1):
     return phi
 
 
-def weyl_conformal_covariance_residual(chart, point, conf_fn, order=3):
+def weyl_conformal_covariance_residual(chart, point, conf_fn):
     """| W(e^{2phi} g) - e^{2phi} W(g) | at the point, normalized."""
-    base = CurvatureData(chart, point, order)
-    resc = CurvatureData(chart.rescaled(conf_fn), point, order)
+    base = CurvatureData(chart, point)
+    resc = CurvatureData(chart.rescaled(conf_fn), point)
     xs = jet_variables(point, 1)
     factor = math.exp(2.0 * conf_fn(xs).value)
     diff = resc.weyl - factor * base.weyl
     return float(np.max(np.abs(diff))) / (1.0 + float(np.max(np.abs(base.weyl))))
 
 
-def frame_independence_residual(chart, point, seed=0, order=3):
+def frame_independence_residual(chart, point, seed=0):
     """Curvature scalars agree under a random linear change of coordinates."""
     rng = np.random.default_rng(seed)
     m = chart.dim
@@ -802,8 +786,8 @@ def frame_independence_residual(chart, point, seed=0, order=3):
 
     pulled = MetricChart(chart.name + "+lin", m, metric, chart.signature)
     pt2 = np.linalg.solve(A, np.asarray(point, float))
-    c1 = CurvatureData(chart, point, order)
-    c2 = CurvatureData(pulled, pt2, order)
+    c1 = CurvatureData(chart, point)
+    c2 = CurvatureData(pulled, pt2)
     res = abs(c1.scal - c2.scal) / (1.0 + abs(c1.scal))
 
     def weyl_norm2(c):

@@ -196,12 +196,12 @@ def suite_inclusions(n, seeds=100, negative_controls=False, full=False, progress
     if n == 1 or full:
         if progress:
             progress("normality transfer (solution space)")
-        nt = inc.normality_transfer_check(qc, cr, co, phi1, phi2, phic, seeds=10)
+        nt = inc.normality_transfer_check(qc, cr, co, phi1, phi2, phic)
         results["normality_transfer"] = nt
         ok = ok and nt["all_exact_zero"] and nt["dim_solution_space"] > 0
         if progress:
             progress("inverse normality (solution space)")
-        it = inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic, seeds=10)
+        it = inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic)
         results["inverse_normality"] = it
         ok = ok and it["all_exact_zero"]
 
@@ -231,23 +231,22 @@ def suite_inclusions(n, seeds=100, negative_controls=False, full=False, progress
 def _quadric_point(chart, fields, point, killing_check, seed):
     """Every per-point figure of the quadric suite from one geometry evaluation.
 
-    One CurvatureData and one TractorData per field serve every check;
-    k3's tractor is built only when ``killing_check`` asks for the
-    three fields' Killing residuals.  Returns {figure: list of
-    residuals}, plus the Sparling scalars and k3's chart value, and
-    drops the tensors on return.
+    One CurvatureData and one TractorData per field serve every check,
+    the light-like and orthogonal products included; k3's tractor is
+    built only when ``killing_check`` asks for the three fields' Killing
+    residuals.  Returns {figure: list of residuals}, plus the Sparling
+    scalars and k3's chart value, and drops the tensors on return.
     """
     from . import charts as ch
 
     k1, k2, k3 = fields
-    g = chart.metric_at(point)
-    v1, v2 = k1.values(point), k2.values(point)
-    curv = ch.CurvatureData(chart, point, 3)
-    t1 = ch.TractorData(curv, k1, 3)
-    t2 = ch.TractorData(curv, k2, 3)
+    curv = ch.CurvatureData(chart, point)
+    t1 = ch.TractorData(curv, k1)
+    t2 = ch.TractorData(curv, k2)
+    g, v1, v2 = curv.g, t1.k, t2.k
     killing = []
     if killing_check:
-        t3 = ch.TractorData(curv, k3, 3)
+        t3 = ch.TractorData(curv, k3)
         killing = [t.killing_residual for t in (t1, t2, t3)]
     tc = ch.trace_contractions(t1)
     rng = np.random.default_rng(seed + 17)
@@ -270,13 +269,12 @@ def _fefferman_point(chart, fields, point):
     """Weyl size and the vertical fields' residuals from one geometry evaluation."""
     from . import charts as ch
 
-    g = chart.metric_at(point)
-    curv = ch.CurvatureData(chart, point, 3)
+    curv = ch.CurvatureData(chart, point)
     light, killing = [], []
     for fld in fields:
-        v = fld.values(point)
-        light.append(abs(float(v @ g @ v)))
-        killing.append(ch.TractorData(curv, fld, 3).killing_residual)
+        td = ch.TractorData(curv, fld)
+        light.append(abs(float(td.k @ curv.g @ td.k)))
+        killing.append(td.killing_residual)
     return {
         "weyl": [float(np.max(np.abs(curv.weyl)))],
         "lightlike": light,
@@ -407,14 +405,14 @@ def suite_random_metrics(dim, count=10, seed=0, tol=None):
     from . import charts as ch
 
     tol = dict(DEFAULT_TOLERANCES, **(tol or {}))
-    results = {"charts": []}
+    results = {}
     ok = True
     worst_div, worst_tr, worst_cov, worst_sch = 0.0, 0.0, 0.0, 0.0
     fitted = []
     for s in range(count):
         chart = ch.random_polynomial_chart(dim, seed + s)
         pt = chart.sample_points(1, seed + s)[0]
-        curv = ch.CurvatureData(chart, pt, 3)
+        curv = ch.CurvatureData(chart, pt)
         res, fit = curv.weyl_divergence_residual()
         tr, sch = curv.weyl_trace_residual(), curv.schouten_residual()
         cf = ch.random_conf_factor(dim, seed + s)
@@ -441,13 +439,13 @@ def suite_random_metrics(dim, count=10, seed=0, tol=None):
 
     sphere = ch.sphere_chart(4)
     spt = sphere.sample_points(1, seed)[0]
-    sc = ch.CurvatureData(sphere, spt, 3)
+    sc = ch.CurvatureData(sphere, spt)
     sph_res = float(np.max(np.abs(sc.P + 0.5 * sc.g)))
     results["sphere_schouten_residual"] = sph_res
     ok &= sph_res < tol["sphere_schouten"]
 
     flat = ch.flat_chart(dim)
-    fc = ch.CurvatureData(flat, flat.sample_points(1, seed)[0], 3)
+    fc = ch.CurvatureData(flat, flat.sample_points(1, seed)[0])
     flat_max = max(
         float(np.max(np.abs(fc.riem))),
         float(np.max(np.abs(fc.weyl))),

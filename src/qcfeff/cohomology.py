@@ -784,13 +784,17 @@ def hodge_check(alg, n):
 
 
 def random_cochain(alg, n, seed, lo=-3, hi=3, value_indices=None, keys=None):
-    """Deterministic small-integer cochain for seeded tests."""
+    """Deterministic small-integer cochain for seeded tests.
+
+    ``keys``, when given, are distinct sorted index tuples, as the
+    combinations drawn by default are.
+    """
     from itertools import combinations
 
     rng = random.Random(seed)
     minus = alg.minus_indices()
     values = list(range(alg.dim)) if value_indices is None else list(value_indices)
-    out = Cochain(alg, n)
+    coeffs = {}
     for key in keys if keys is not None else combinations(minus, n):
         vec = {}
         for m in values:
@@ -798,27 +802,5 @@ def random_cochain(alg, n, seed, lo=-3, hi=3, value_indices=None, keys=None):
             if c:
                 vec[m] = Fraction(c)
         if vec:
-            out.add_term(tuple(key), vec)
-    return out
-
-
-def harmonic_report(alg, n_param, degree, homogeneities=None):
-    """HarmonicReport rows for the CLI and tests."""
-    rows = []
-    hr = homogeneity_range(alg, degree)
-    for l in hr if homogeneities is None else homogeneities:
-        dim, basis, _ = harmonic_space(alg, degree, l)
-        contained = (
-            all(contained_in_wedge_g0(alg, c) for c in basis) if degree == 2 and dim else False
-        )
-        rows.append(
-            {
-                "algebra": alg.name,
-                "n_param": n_param,
-                "degree": degree,
-                "homogeneity": l,
-                "dim": dim,
-                "contained_in_L2g0": bool(contained),
-            }
-        )
-    return rows
+            coeffs[tuple(key)] = vec
+    return _cochain(alg, n, coeffs)

@@ -578,27 +578,18 @@ def normal_torsionfree_space(qc, phi_qc_co):
     return out, vals
 
 
-def normality_transfer_check(qc, cr, co, phi1, phi2, phic, seeds=10) -> dict:
-    """Induced cochains of the exact solution space stay codifferential-closed."""
-    import random as _random
+def normality_transfer_check(qc, cr, co, phi1, phi2, phic) -> dict:
+    """Induced cochains of the exact solution space stay codifferential-closed.
 
+    Induction and the codifferential are linear, so closure on a basis
+    of the solution space proves it on the whole space.
+    """
     sols, _ = normal_torsionfree_space(qc, phic)
-    samples = list(sols)
-    rng = _random.Random(20)
-    for _ in range(seeds):
-        if not sols:
-            break
-        combo = Cochain(qc, 2)
-        for s in sols:
-            r = Fraction(rng.randint(-2, 2))
-            for key, vec in s.coeffs.items():
-                combo.add_term(key, vec, r)
-        samples.append(combo)
-    ok = all(_induced_closed(phi, kappa) for kappa in samples for phi in (phi1, phic))
+    ok = all(_induced_closed(phi, kappa) for kappa in sols for phi in (phi1, phic))
     return {
         "inclusion": "chain",
         "lemma": "normality-transfer",
-        "seeds": seeds,
+        "certificate": "basis",
         "dim_solution_space": len(sols),
         "all_exact_zero": ok and len(sols) > 0,
     }
@@ -816,25 +807,16 @@ def _cr_trace_pairs(cr, phi2):
     return pairs
 
 
-def inverse_normality_check(qc, cr, co, phi1, phi2, phic, seeds=10) -> dict:
-    """Downstairs codifferential closure of reduced upstairs cochains."""
-    import random as _random
+def inverse_normality_check(qc, cr, co, phi1, phi2, phic) -> dict:
+    """Downstairs codifferential closure of reduced upstairs cochains.
 
+    Recovery and both codifferential parts are linear, so closure on a
+    basis of the solution space proves it on the whole space.
+    """
     sols = holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True)
-    samples = list(sols)
-    rng = _random.Random(21)
-    for _ in range(seeds):
-        if not sols:
-            break
-        combo = Cochain(co, 2)
-        for s in sols:
-            r = Fraction(rng.randint(-2, 2))
-            for key, vec in s.coeffs.items():
-                combo.add_term(key, vec, r)
-        samples.append(combo)
     part1_all_zero = True
     part2_all_zero = True
-    for tilde in samples:
+    for tilde in sols:
         kappa = phic.recover_cochain(tilde)
         p1, p2 = codifferential_minus(kappa)
         if not p1.is_zero():
@@ -846,7 +828,7 @@ def inverse_normality_check(qc, cr, co, phi1, phi2, phic, seeds=10) -> dict:
     return {
         "inclusion": "chain-inverse",
         "lemma": "inverse-normality",
-        "seeds": seeds,
+        "certificate": "basis",
         "dim_solution_space": len(sols),
         "part1_all_zero": part1_all_zero,
         "part2_all_zero": part2_all_zero,

@@ -66,21 +66,6 @@ class JetSpace:
         self._mul_i = np.array(ii, dtype=np.intp)
         self._mul_j = np.array(jj, dtype=np.intp)
         self._mul_k = np.array(kk, dtype=np.intp)
-        # partial-derivative index maps: coef of alpha+e_v scaled by alpha_v+1
-        self._deriv = []
-        for v in range(num_vars):
-            src, dst, fac = [], [], []
-            for i, a in enumerate(self.indices):
-                if sum(a) == order:
-                    continue
-                b = tuple(x + (1 if u == v else 0) for u, x in enumerate(a))
-                src.append(self.position[b])
-                dst.append(i)
-                fac.append(a[v] + 1)
-            self._deriv.append(
-                (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(fac, float))
-            )
-
         self._tensor_index = {}
 
     def derivative_tensor(self, coef, r):
@@ -110,12 +95,6 @@ class JetSpace:
     def mul(self, ca, cb):
         out = np.zeros(self.size)
         np.add.at(out, self._mul_k, ca[self._mul_i] * cb[self._mul_j])
-        return out
-
-    def deriv(self, coef, v):
-        src, dst, fac = self._deriv[v]
-        out = np.zeros(coef.shape[:-1] + (self.size,))
-        out[..., dst] = coef[..., src] * fac
         return out
 
 
@@ -254,9 +233,6 @@ class Jet:
         cyc = [c, -s, -c, s]
         series = [cyc[m % 4] / math.factorial(m) for m in range(self.space.order + 1)]
         return self._compose_series(series)
-
-    def deriv(self, v):
-        return Jet(self.space, self.space.deriv(self.coef, v))
 
     def derivative_value(self, alpha) -> float:
         """Value of the partial derivative d^alpha at the base point."""

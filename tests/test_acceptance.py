@@ -93,9 +93,9 @@ def test_criterion_04_transfer_lemmas(inclusions1, inclusions2):
 
 def test_criterion_05_normality_transfer(inclusions1):
     qc, cr, co, phi1, phi2, phic = inclusions1
-    nt = inc.normality_transfer_check(qc, cr, co, phi1, phi2, phic, seeds=50)
+    nt = inc.normality_transfer_check(qc, cr, co, phi1, phi2, phic)
     ok = nt["all_exact_zero"] and nt["dim_solution_space"] > 0
-    it = inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic, seeds=50)
+    it = inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic)
     ok = ok and it["all_exact_zero"]
     neg1 = inc.normality_negative_control(qc, phi1)
     neg2 = inc.inverse_negative_control(qc, cr, co, phi1, phi2, phic)
@@ -146,11 +146,11 @@ def test_criterion_07_quadric_model(quadric1):
     rows = 0.0
     rng = np.random.default_rng(1)
     for p in pts[:8]:
-        curv = ch.CurvatureData(chart, p, 3)
+        curv = ch.CurvatureData(chart, p)
         weyl = max(weyl, float(np.max(np.abs(curv.weyl))))
         tc = ch.trace_contraction_check(chart, k1, p)
         ins = max(ins, tc["k_into_weyl"], tc["k_into_cotton"])
-        td = ch.TractorData(curv, k1, 3)
+        td = ch.TractorData(curv, k1)
         for _ in range(3):
             rows = max(rows, td.tractor_residual(rng.uniform(-1, 1, chart.dim)))
     ok = ok and ins < 1e-8 and weyl < 1e-8 and rows < 1e-8
@@ -184,7 +184,7 @@ def test_criterion_08_heisenberg_fefferman(heisenberg1):
         fm = mo.fefferman_metric(qc, rotate_eta=rotate)
         pts = fm.sample_points(6, seed=1)
         sig_ok = all(fm.signature_at(p) == (7, 3) for p in pts)
-        weyl = max(float(np.max(np.abs(ch.CurvatureData(fm, p, 3).weyl))) for p in pts[:3])
+        weyl = max(float(np.max(np.abs(ch.CurvatureData(fm, p).weyl))) for p in pts[:3])
         candidates[name] = (sig_ok, weyl)
         if chosen is None and sig_ok and weyl < 1e-6:
             chosen = name
@@ -210,7 +210,7 @@ def test_criterion_09_tensor_pipeline():
     for seed in range(10):
         chart = ch.random_polynomial_chart(4, seed)
         pt = chart.sample_points(1, seed)[0]
-        curv = ch.CurvatureData(chart, pt, 3)
+        curv = ch.CurvatureData(chart, pt)
         res, fitted = curv.weyl_divergence_residual()
         ok = ok and res < 1e-6 and abs(fitted - (-1.0)) < 1e-6
         ok = ok and curv.weyl_trace_residual() < 1e-9
@@ -219,7 +219,7 @@ def test_criterion_09_tensor_pipeline():
         ok = ok and ch.weyl_conformal_covariance_residual(chart, pt, cf) < 1e-7
     sphere = ch.sphere_chart(4)
     spt = sphere.sample_points(1, 0)[0]
-    sc = ch.CurvatureData(sphere, spt, 3)
+    sc = ch.CurvatureData(sphere, spt)
     ok = ok and float(np.max(np.abs(sc.P + 0.5 * sc.g))) < 1e-9
     _report(9, "tensor-calculus pipeline", ok)
 

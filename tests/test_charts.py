@@ -9,7 +9,7 @@ from qcfeff import charts as ch
 def test_flat_metric_all_curvature_zero():
     for sig in ((4, 0), (3, 1)):
         chart = ch.flat_chart(4, sig)
-        c = ch.CurvatureData(chart, [0.3, -0.2, 0.1, 0.5], 3)
+        c = ch.CurvatureData(chart, [0.3, -0.2, 0.1, 0.5])
         assert np.max(np.abs(c.riem)) == 0.0
         assert np.max(np.abs(c.weyl)) == 0.0
         assert np.max(np.abs(c.cotton)) == 0.0
@@ -19,7 +19,7 @@ def test_flat_metric_all_curvature_zero():
 def test_round_sphere_curvature(m):
     chart = ch.sphere_chart(m)
     pt = chart.sample_points(1, seed=1)[0]
-    c = ch.CurvatureData(chart, pt, 3)
+    c = ch.CurvatureData(chart, pt)
     assert np.max(np.abs(c.ric - (m - 1) * c.g)) < 1e-9
     assert np.max(np.abs(c.P + 0.5 * c.g)) < 1e-9
     assert np.max(np.abs(c.weyl)) < 1e-9
@@ -32,7 +32,7 @@ def test_weyl_trace_free_random_metrics():
         for seed in range(5):
             chart = ch.random_polynomial_chart(dim, seed)
             pt = chart.sample_points(1, seed)[0]
-            c = ch.CurvatureData(chart, pt, 3)
+            c = ch.CurvatureData(chart, pt)
             assert c.weyl_trace_residual() < 1e-9
 
 
@@ -41,7 +41,7 @@ def test_weyl_divergence_identity():
         for seed in range(4):
             chart = ch.random_polynomial_chart(dim, seed)
             pt = chart.sample_points(1, seed + 10)[0]
-            c = ch.CurvatureData(chart, pt, 3)
+            c = ch.CurvatureData(chart, pt)
             res, fitted = c.weyl_divergence_residual()
             assert res < 1e-6
             assert fitted == pytest.approx(3.0 - dim, abs=1e-8)
@@ -50,7 +50,7 @@ def test_weyl_divergence_identity():
 def test_conformally_flat_divergence_both_sides_vanish():
     chart = ch.sphere_chart(4)
     pt = chart.sample_points(1, 3)[0]
-    c = ch.CurvatureData(chart, pt, 3)
+    c = ch.CurvatureData(chart, pt)
     div = c.weyl_divergence()
     assert np.max(np.abs(div)) < 1e-7
     assert np.max(np.abs(c.cotton)) < 1e-7
@@ -77,7 +77,7 @@ def test_degenerate_metric_raises():
 
     chart = ch.MetricChart("degenerate", 3, metric)
     with pytest.raises(ch.ChartError):
-        ch.CurvatureData(chart, [0.0, 0.0, 0.0], 2)
+        ch.CurvatureData(chart, [0.0, 0.0, 0.0])
 
 
 def test_killing_rotation_field():
@@ -101,8 +101,8 @@ def test_dilation_field_conformal_factor():
 def test_translation_tractor_components():
     chart = ch.flat_chart(4)
     tr = ch.VectorFieldOnChart("translation", 4, lambda xs: [1.0, 0.0, 0.0, 0.0])
-    curv = ch.CurvatureData(chart, [0.1, 0.2, -0.3, 0.0], 3)
-    td = ch.TractorData(curv, tr, 3)
+    curv = ch.CurvatureData(chart, [0.1, 0.2, -0.3, 0.0])
+    td = ch.TractorData(curv, tr)
     assert np.max(np.abs(td.K)) == 0.0
     assert np.max(np.abs(td.gamma1)) == 0.0
     v = np.array([0.3, -1.0, 0.2, 0.5])
@@ -120,8 +120,8 @@ def test_tractor_row4_matches_killing_residual():
     """A non-Killing field leaves a nonzero fourth row generically."""
     chart = ch.flat_chart(3)
     bad = ch.VectorFieldOnChart("bad", 3, lambda xs: [xs[0] * xs[0], 0.0, 0.0])
-    curv = ch.CurvatureData(chart, [0.5, 0.1, -0.2], 3)
-    td = ch.TractorData(curv, bad, 3)
+    curv = ch.CurvatureData(chart, [0.5, 0.1, -0.2])
+    td = ch.TractorData(curv, bad)
     assert td.killing_residual > 1e-3
     v = np.array([1.0, 0.0, 0.0])
     _, _, _, r4 = td.tractor_derivative_rows(v)
@@ -131,8 +131,8 @@ def test_tractor_row4_matches_killing_residual():
 def test_k_skew_for_metric(quadric1):
     chart, k1, _, _ = quadric1
     pt = chart.sample_points(1, 5)[0]
-    curv = ch.CurvatureData(chart, pt, 3)
-    td = ch.TractorData(curv, k1, 3)
+    curv = ch.CurvatureData(chart, pt)
+    td = ch.TractorData(curv, k1)
     skew = curv.g @ td.K + td.K.T @ curv.g
     assert np.max(np.abs(skew)) < 1e-9
 

@@ -141,7 +141,7 @@ def test_inclusions_report_bytes_pinned(tmp_path):
     )
     assert code == 0
     assert _sha256(text) == (
-        "0736d62a04ff2f4fea48b25deab15d6079d6b3b4ddb5619b46cb15a368635239"
+        "06d35ab63746f43196b7edbcb78b67ab504136f66c14c1c8d8c006e8ded2c7ad"
     )
 
 
@@ -190,7 +190,7 @@ def test_random_metrics_nonfinite_residual_fails():
     [
         (
             ("model", "--n", "1", "--samples", "5", "--seed", "11", "--rescale-seed", "7"),
-            "48c23d9522eda74b6490091cfd0f35adc1363db17c6af949f47a6d617d6ed1ea",
+            "e7d03a4e114a5b8a68d0d6a0b68bc81b1a79ea41b043e081ff87bea4a118a8f5",
         ),
         (
             ("model", "--metric", "heisenberg", "--n", "1", "--samples", "4"),
@@ -211,10 +211,10 @@ def test_model_builds_geometry_once_per_point(monkeypatch, metric, repeats):
     alive = weakref.WeakSet()
     alive_at_build = []
 
-    def counting_init(self, chart, point, order=3):
+    def counting_init(self, chart, point):
         keys.append((chart.name, np.asarray(point, float).tobytes()))
         alive_at_build.append(len(alive))
-        init(self, chart, point, order)
+        init(self, chart, point)
         alive.add(self)
 
     monkeypatch.setattr(ch.CurvatureData, "__init__", counting_init)
@@ -224,6 +224,43 @@ def test_model_builds_geometry_once_per_point(monkeypatch, metric, repeats):
     # Felipe's check rebuilds its 4 points once beta1's mean is known
     assert len(keys) <= len(set(keys)) + repeats
     assert max(alive_at_build) == 0
+
+
+@pytest.mark.parametrize("metric", ["quadric", "heisenberg"])
+def test_model_reads_metric_once_per_point(monkeypatch, metric):
+    """Every per-point figure reads the order-3 jets of the point's CurvatureData.
+
+    The one order-1 metric evaluation left is the Fefferman signature
+    check, once per Fefferman sample point.
+    """
+    jets = ch.MetricChart.metric_jets
+    signature_at = ch.MetricChart.signature_at
+    calls = []
+    in_signature = []
+
+    def counting_jets(self, point, order):
+        calls.append((order, bool(in_signature)))
+        return jets(self, point, order)
+
+    def counting_signature(self, point, tol=1e-10):
+        in_signature.append(None)
+        try:
+            return signature_at(self, point, tol)
+        finally:
+            in_signature.pop()
+
+    monkeypatch.setattr(ch.MetricChart, "metric_jets", counting_jets)
+    monkeypatch.setattr(ch.MetricChart, "signature_at", counting_signature)
+    rescale = 7 if metric == "quadric" else None
+    samples = 8
+    _, ok = suite_model(1, samples=samples, seed=3, metric=metric, rescale_seed=rescale)
+    assert ok
+    assert calls
+    low = [inside for order, inside in calls if order != 3]
+    assert all(inside for inside in low)
+    assert all(order == 1 for order, inside in calls if inside)
+    # two sigma candidates, max(4, samples // 4) Fefferman points each
+    assert len(low) == (0 if metric == "quadric" else 2 * max(4, samples // 4))
 
 
 def test_model_nonfinite_residual_fails(monkeypatch):

@@ -277,12 +277,3 @@ def test_wedge_degenerate_input(chain1):
     assert c.is_zero()
     assert codifferential_wedge(c).is_zero()
 
-
-def test_harmonic_report_shape(chain1):
-    qc, _, _ = chain1
-    rows = coh.harmonic_report(qc, 1, 2, homogeneities=[1, 2])
-    assert [r["homogeneity"] for r in rows] == [1, 2]
-    assert all(
-        set(r) >= {"algebra", "n_param", "degree", "homogeneity", "dim", "contained_in_L2g0"}
-        for r in rows
-    )

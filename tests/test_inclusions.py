@@ -251,7 +251,7 @@ def test_del2_supported_away(inclusions1):
 
 def test_normality_transfer(inclusions1):
     qc, cr, co, phi1, phi2, phic = inclusions1
-    rep = inc.normality_transfer_check(qc, cr, co, phi1, phi2, phic, seeds=5)
+    rep = inc.normality_transfer_check(qc, cr, co, phi1, phi2, phic)
     assert rep["all_exact_zero"]
     assert rep["dim_solution_space"] > 0
 
@@ -264,11 +264,51 @@ def test_normality_negative_control(inclusions1):
 
 def test_inverse_normality(inclusions1):
     qc, cr, co, phi1, phi2, phic = inclusions1
-    rep = inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic, seeds=5)
+    rep = inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic)
     assert rep["all_exact_zero"]
     assert rep["part1_all_zero"] and rep["part2_all_zero"]
     assert rep["dim_solution_space"] > 0
     assert rep["qc_trace_identity_constant"] is not None
+
+
+def test_solution_space_checks_certify_on_their_basis(inclusions1, monkeypatch):
+    """Each solution-space check runs on its basis once, with no sampled combinations."""
+    qc, cr, co, phi1, phi2, phic = inclusions1
+    recover = inc.GradedInclusion.recover_cochain
+    calls = []
+
+    def counting_recover(self, tilde):
+        calls.append(None)
+        return recover(self, tilde)
+
+    monkeypatch.setattr(inc.GradedInclusion, "recover_cochain", counting_recover)
+    it = inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic)
+    assert it["all_exact_zero"]
+    assert len(calls) == it["dim_solution_space"] == 161
+    nt = inc.normality_transfer_check(qc, cr, co, phi1, phi2, phic)
+    for rep in (nt, it):
+        assert rep["certificate"] == "basis"
+        assert "seeds" not in rep
+
+
+def test_inverse_normality_holds_on_rational_combinations(inclusions1):
+    """A rational combination of holonomy solutions recovers to a closed cochain.
+
+    This is the linearity that lets inverse_normality_check certify the
+    solution space on its basis alone.
+    """
+    qc, cr, co, phi1, phi2, phic = inclusions1
+    sols = inc.holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True)
+    rng = random.Random(21)
+    tilde = Cochain(co, 2)
+    for sol in rng.sample(sols, 3):
+        r = Fraction(rng.choice((-7, -2, 1, 3, 5)), rng.randint(2, 6))
+        for key, vec in sol.coeffs.items():
+            tilde.add_term(key, vec, r)
+    kappa = phic.recover_cochain(tilde)
+    assert not kappa.is_zero()
+    p1, p2 = codifferential_minus(kappa)
+    assert p1.is_zero() and p2.is_zero()
 
 
 def test_holonomy_traces_build_their_arguments_once(inclusions1, monkeypatch):

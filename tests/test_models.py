@@ -28,7 +28,7 @@ def test_quadric_fields_killing(quadric1):
 def test_quadric_conformally_flat(quadric1):
     chart, _, _, _ = quadric1
     for pt in chart.sample_points(3, seed=3):
-        c = ch.CurvatureData(chart, pt, 3)
+        c = ch.CurvatureData(chart, pt)
         assert np.max(np.abs(c.weyl)) < 1e-8
         assert np.max(np.abs(c.cotton)) < 1e-8
 
@@ -37,8 +37,8 @@ def test_quadric_parallel_tractor(quadric1):
     chart, k1, _, _ = quadric1
     rng = np.random.default_rng(4)
     for pt in chart.sample_points(3, seed=4):
-        curv = ch.CurvatureData(chart, pt, 3)
-        td = ch.TractorData(curv, k1, 3)
+        curv = ch.CurvatureData(chart, pt)
+        td = ch.TractorData(curv, k1)
         for _ in range(3):
             v = rng.uniform(-1, 1, chart.dim)
             assert td.tractor_residual(v) < 1e-8
@@ -82,8 +82,8 @@ def test_quadric_felipe_and_negative_control(quadric1):
     assert fel["pass"]
     # skipping the normalization leaves gamma(k) + alpha^2 = beta != -1
     pt = pts[0]
-    curv = ch.CurvatureData(chart, pt, 3)
-    td = ch.TractorData(curv, k1.scaled(2.0), 3)
+    curv = ch.CurvatureData(chart, pt)
+    td = ch.TractorData(curv, k1.scaled(2.0))
     val = float(np.dot(td.gamma1, td.k)) + td.alpha ** 2
     assert val == pytest.approx(4.0 * beta, abs=1e-8)
     assert abs(val + 1.0) > 0.1
@@ -137,7 +137,7 @@ def test_fefferman_signature_and_flatness(heisenberg1):
     for pt in fm.sample_points(5, seed=3):
         assert fm.signature_at(pt) == (7, 3)
     for pt in fm.sample_points(2, seed=4):
-        c = ch.CurvatureData(fm, pt, 3)
+        c = ch.CurvatureData(fm, pt)
         assert np.max(np.abs(c.weyl)) < 1e-6
         assert np.max(np.abs(c.cotton)) < 1e-6
 
@@ -145,7 +145,7 @@ def test_fefferman_signature_and_flatness(heisenberg1):
 def test_fefferman_rotated_candidate_not_flat(heisenberg1):
     fm = mo.fefferman_metric(heisenberg1, rotate_eta=True)
     pt = fm.sample_points(1, seed=5)[0]
-    c = ch.CurvatureData(fm, pt, 3)
+    c = ch.CurvatureData(fm, pt)
     assert np.max(np.abs(c.weyl)) > 1e-2
 
 
