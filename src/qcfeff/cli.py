@@ -203,7 +203,12 @@ def suite_inclusions(n, seeds=100, negative_controls=False, full=False, progress
             progress("inverse normality (solution space)")
         it = inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic)
         results["inverse_normality"] = it
-        ok = ok and it["all_exact_zero"]
+        ok = (
+            ok
+            and it["all_exact_zero"]
+            and it["qc_trace_identity_constant"] is not None
+            and it["cr_corner_square_constant"] is not None
+        )
 
     if negative_controls:
         if progress:

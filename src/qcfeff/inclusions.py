@@ -25,8 +25,6 @@ from .cohomology import (
     _part2_ints_at,
     _scaled,
     _tables,
-    _times,
-    codifferential_minus,
     random_cochain,
 )
 from .exact import ExactMatrix, SpanSolver, _add_scaled, kernel_basis
@@ -41,7 +39,7 @@ class InclusionError(RuntimeError):
 
 
 class _IntTransfer(NamedTuple):
-    """Integer tables of one inclusion that the seeded transfer checks read.
+    """Integer tables of one inclusion that the transfer checks and solution spaces read.
 
     Each table is an integer multiple of its rational map: img and
     weights carry den, the induction minors xi_den ** 2, and proj
@@ -308,9 +306,8 @@ def _induce_ints(data: _IntTransfer, coeffs):
     return {key: vec for key, vec in out.items() if vec}
 
 
-def _induced_closed(phi: GradedInclusion, kappa: Cochain) -> bool:
-    """True when the codifferential of phi.induce_cochain(kappa) is zero."""
-    _, coeffs = _integer_coeffs(kappa)
+def _induced_closed(phi: GradedInclusion, coeffs) -> bool:
+    """True when the induced cochain of an integer C^2 cochain has zero codifferential."""
     return not _codifferential_ints(phi.target, _induce_ints(phi._transfer(), coeffs))
 
 
@@ -536,31 +533,28 @@ def p_co_cap_gqc(phi_qc_co: GradedInclusion):
     return [{i: c for i, c in enumerate(vec) if c} for vec in vecs]
 
 
-def _cochain_from_params(alg, pair_keys, value_vectors, coeffs):
-    out = Cochain(alg, 2)
-    t = 0
-    for key in pair_keys:
-        for vec in value_vectors:
-            c = coeffs[t]
-            if c:
-                out.add_term(key, {m: c * v for m, v in vec.items()})
-            t += 1
-    return out
+def _solution_coeffs(cols, vec):
+    """Integer C^2 coefficients of one kernel vector: the sum of vec[t] cols[t].
+
+    cols[t] is the basis cochain (minus pair, integer value vector) of
+    column t of a solution-space system.
+    """
+    out = {}
+    for t, c in enumerate(vec):
+        if c:
+            key, val = cols[t]
+            _add_scaled(out.setdefault(key, {}), val, c)
+    return {key: val for key, val in out.items() if val}
 
 
-def normal_torsionfree_space(qc, phi_qc_co):
-    """Exact basis of {kappa : values in p_co ∩ g_qc, both codiff parts zero}.
+def _normal_torsionfree_solutions(qc, phi_qc_co):
+    """Integer C^2 coefficients of a basis of the normal torsion-free space, and its values.
 
     The rows are c_scale times both codifferential parts of each column's
     basis cochain, read off the integer tables.
     """
     vals = p_co_cap_gqc(phi_qc_co)
-    minus = qc.minus_indices()
-    pair_keys = list(combinations(minus, 2))
-    cols = []
-    for key in pair_keys:
-        for vec in vals:
-            cols.append((key, vec))
+    cols = [(key, vec) for key in combinations(qc.minus_indices(), 2) for vec in vals]
     rows = {}
     for t, (key, vec) in enumerate(cols):
         basis_cochain = {key: vec}
@@ -572,10 +566,13 @@ def normal_torsionfree_space(qc, phi_qc_co):
                 for m, c in tvec.items():
                     rows.setdefault((tag, (x,), m), {})[t] = c
     sols = kernel_basis(list(rows.values()), len(cols))
-    out = []
-    for vec in sols:
-        out.append(_cochain_from_params(qc, pair_keys, vals, vec))
-    return out, vals
+    return [_solution_coeffs(cols, vec) for vec in sols], vals
+
+
+def normal_torsionfree_space(qc, phi_qc_co):
+    """Exact basis of {kappa : values in p_co ∩ g_qc, both codiff parts zero}."""
+    sols, vals = _normal_torsionfree_solutions(qc, phi_qc_co)
+    return [Cochain(qc, 2, coeffs) for coeffs in sols], vals
 
 
 def normality_transfer_check(qc, cr, co, phi1, phi2, phic) -> dict:
@@ -584,8 +581,8 @@ def normality_transfer_check(qc, cr, co, phi1, phi2, phic) -> dict:
     Induction and the codifferential are linear, so closure on a basis
     of the solution space proves it on the whole space.
     """
-    sols, _ = normal_torsionfree_space(qc, phic)
-    ok = all(_induced_closed(phi, kappa) for kappa in sols for phi in (phi1, phic))
+    sols, _ = _normal_torsionfree_solutions(qc, phic)
+    ok = all(_induced_closed(phi, coeffs) for coeffs in sols for phi in (phi1, phic))
     return {
         "inclusion": "chain",
         "lemma": "normality-transfer",
@@ -598,9 +595,9 @@ def normality_transfer_check(qc, cr, co, phi1, phi2, phic) -> dict:
 def normality_negative_control(qc, phi1, seed=5) -> dict:
     """A generic g_0-valued cochain with nonzero part1 must fail upstairs."""
     g0 = qc.by_degree[0]
-    kappa = random_cochain(qc, 2, seed, value_indices=g0)
-    part1_nonzero = bool(_part1_ints(qc, _integer_coeffs(kappa)[1]))
-    failed = not _induced_closed(phi1, kappa)
+    _, coeffs = _integer_coeffs(random_cochain(qc, 2, seed, value_indices=g0))
+    part1_nonzero = bool(_part1_ints(qc, coeffs))
+    failed = not _induced_closed(phi1, coeffs)
     return {
         "inclusion": "%s->%s" % (qc.name, phi1.target.name),
         "lemma": "normality-negative-control",
@@ -611,16 +608,37 @@ def normality_negative_control(qc, phi1, seed=5) -> dict:
     }
 
 
-def _adapted_minus_frame(phi_qc_co: GradedInclusion):
-    """phi_-(g_- basis) followed by the fiber directions phi_-(I), phi_-(J), phi_-(K)."""
-    qc = phi_qc_co.source
-    frame = []
-    for i in qc.minus_indices():
-        frame.append(phi_qc_co.minus_part({i: _F1}))
-    for unit in ("i", "j", "k"):
-        idx = g0_scalar_index(qc, unit)
-        frame.append(phi_qc_co.minus_part({idx: _F1}))
-    return frame
+def _holonomy_solutions(qc, cr, co, phi2, phic, with_traces):
+    """Integer C^2 coefficients of a basis of the holonomy sample space, downstairs.
+
+    The induction complement of phic is the fiber I, J, K, so the induced
+    cochain of e^a ^ e^b (x) e_v is the upstairs column
+    eps^a ^ eps^b (x) phi(e_v), eps the coframe of phi_-(g_-) and the
+    fiber; it vanishes on the fiber directions.  Each row is a positive
+    integer multiple of its rational constraint: the upstairs
+    codifferential of the induced column, and a trace row is the value
+    of the induced form on its pairs times phi(e_v).
+    """
+    if phic.complement_labels() != ["d(0)%s" % unit for unit in "ijk"]:
+        raise InclusionError("induction complement is not the fiber I, J, K")
+    data = phic._transfer()
+    cols = [(key, {v: 1}) for key in combinations(qc.minus_indices(), 2) for v in range(qc.dim)]
+    traces = []
+    if with_traces:
+        traces = [(("qtrace", unit), _qc_trace_pairs(qc, phic, unit)) for unit in "ijk"]
+        traces.append((("ctrace",), _cr_trace_pairs(cr, phi2)))
+    traces = [(tag, _trace_scalars(pairs, data.induce)) for tag, pairs in traces]
+    rows = {}
+    for t, (key, val) in enumerate(cols):
+        for x, tvec in _codifferential_ints(co, _induce_ints(data, {key: val})).items():
+            for m, c in tvec.items():
+                rows.setdefault(("cod", (x,), m), {})[t] = c
+        for tag, scalars in traces:
+            if scalars.get(key):
+                for m, w in _apply_ints(data.img, val).items():
+                    rows.setdefault(tag + (m,), {})[t] = scalars[key] * w
+    sols = kernel_basis(list(rows.values()), len(cols))
+    return [_solution_coeffs(cols, vec) for vec in sols]
 
 
 def holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True):
@@ -629,64 +647,15 @@ def holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True):
     Constraints: values in phi(g_qc); vanishing when a slot is a fiber
     direction; closed for the upstairs codifferential; and (optionally)
     the three quaternionic trace constraints plus the complex-trace
-    constraint of the intermediate algebra.
-
-    Column (a, b, v) is the cochain eps^a ^ eps^b (x) phi(e_v), eps the
-    coframe dual to the adapted frame.  Each row is a positive integer
-    multiple of its rational constraint: the codifferential is read off
-    the integer tables, and a trace row is its pairs' sum of
-    sign (eps^a(u) eps^b(w) - eps^b(u) eps^a(w)) times phi(e_v).
+    constraint of the intermediate algebra.  Each solution is the
+    induced cochain of its downstairs coefficients.
     """
-    frame = _adapted_minus_frame(phic)
-    nq = len(qc.minus_indices())
-    # change of basis: express the standard target minus basis in the frame
-    tminus = co.minus_indices()
-    tpos = {t: p for p, t in enumerate(tminus)}
-    try:
-        frame_solver = SpanSolver([{tpos[t]: c for t, c in v.items()} for v in frame])
-        inv = [frame_solver.coords({p: _F1}) for p in range(len(tminus))]
-    except ValueError:
-        raise InclusionError("adapted minus frame is degenerate") from None
-    inv_den = _denominator_lcm(dict(enumerate(row)) for row in inv)
-    inv = [[_times(c, inv_den) for c in row] for row in inv]
-    # forms[(a, b)]: inv_den^2 (eps^a ^ eps^b) on the target minus pairs
-    forms = {}
-    for a, b in combinations(range(nq), 2):
-        form = {}
-        for p, q in combinations(range(len(tminus)), 2):
-            coeff = inv[p][a] * inv[q][b] - inv[p][b] * inv[q][a]
-            if coeff:
-                form[(tminus[p], tminus[q])] = coeff
-        forms[(a, b)] = form
-    values = phic._transfer().img
-    # columns: (pair of qc minus positions, value index in g_qc)
-    cols = [(key, v) for key in forms for v in range(qc.dim)]
-    traces = []
-    if with_traces:
-        traces = [(("qtrace", unit), _qc_trace_pairs(qc, phic, unit)) for unit in "ijk"]
-        traces.append((("ctrace",), _cr_trace_pairs(cr, phi2)))
-    traces = [(tag, _trace_scalars(pairs, inv, tminus, forms)) for tag, pairs in traces]
-    rows = {}
-    for t, (key, v) in enumerate(cols):
-        coeffs = {tkey: {m: c * w for m, w in values[v].items()} for tkey, c in forms[key].items()}
-        for x, tvec in _codifferential_ints(co, coeffs).items():
-            for m, c in tvec.items():
-                rows.setdefault(("cod", (x,), m), {})[t] = c
-        for tag, scalars in traces:
-            if scalars[key]:
-                for m, w in values[v].items():
-                    rows.setdefault(tag + (m,), {})[t] = scalars[key] * w
-    sols = kernel_basis(list(rows.values()), len(cols))
-    out = []
-    for vec in sols:
-        coch = Cochain(co, 2)
-        for t, c in enumerate(vec):
-            if c:
-                key, v = cols[t]
-                for tkey, f in forms[key].items():
-                    coch.add_term(tkey, phic.img[v], Fraction(c * f, inv_den ** 2))
-        out.append(coch)
-    return out
+    data = phic._transfer()
+    scale = Fraction(1, data.xi_den ** 2 * data.den)
+    return [
+        Cochain(co, 2, _induce_ints(data, coeffs)).scale(scale)
+        for coeffs in _holonomy_solutions(qc, cr, co, phi2, phic, with_traces)
+    ]
 
 
 def _entry_right_mult(alg, idx, unit):
@@ -757,25 +726,20 @@ def corner_square_constant(alg, unit="i"):
     return lam
 
 
-def _trace_scalars(pairs, inv, tminus, forms):
-    """{(a, b): sum of sign (eps^a(u) eps^b(w) - eps^b(u) eps^a(w))} over the pairs.
+def _trace_scalars(pairs, induce):
+    """{(i, j): sum of sign tilde(u, w)} over the pairs, tilde the induced e^i ^ e^j.
 
-    eps^a(u) is read through the integer rows inv[p][a]; the sum is the
-    value of the column form forms[(a, b)] on (u, w).
+    The value of the induced form on (u, w) is read off its minors
+    induce[(i, j)] on the target minus pairs.
     """
-
-    def coframe(vec):
-        return [
-            sum(vec.get(t, 0) * inv[p][a] for p, t in enumerate(tminus))
-            for a in range(len(inv[0]))
-        ]
-
-    out = dict.fromkeys(forms, 0)
-    for sgn, u, w in pairs:
-        eu, ew = coframe(u), coframe(w)
-        for a, b in forms:
-            out[(a, b)] += sgn * (eu[a] * ew[b] - eu[b] * ew[a])
-    return out
+    return {
+        key: sum(
+            sgn * minor * (u.get(p, 0) * w.get(q, 0) - u.get(q, 0) * w.get(p, 0))
+            for sgn, u, w in pairs
+            for (p, q), minor in row
+        )
+        for key, row in induce.items()
+    }
 
 
 def _qc_trace_pairs(qc, phic, unit):
@@ -810,19 +774,14 @@ def _cr_trace_pairs(cr, phi2):
 def inverse_normality_check(qc, cr, co, phi1, phi2, phic) -> dict:
     """Downstairs codifferential closure of reduced upstairs cochains.
 
-    Recovery and both codifferential parts are linear, so closure on a
-    basis of the solution space proves it on the whole space.
+    Each holonomy solution is the induced cochain of its downstairs
+    coefficients, which recovery returns unchanged; both codifferential
+    parts are linear, so closure on a basis of the solution space proves
+    it on the whole space.
     """
-    sols = holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True)
-    part1_all_zero = True
-    part2_all_zero = True
-    for tilde in sols:
-        kappa = phic.recover_cochain(tilde)
-        p1, p2 = codifferential_minus(kappa)
-        if not p1.is_zero():
-            part1_all_zero = False
-        if not p2.is_zero():
-            part2_all_zero = False
+    sols = _holonomy_solutions(qc, cr, co, phi2, phic, with_traces=True)
+    part1_all_zero = not any(_part1_ints(qc, coeffs) for coeffs in sols)
+    part2_all_zero = not any(_part2_ints(qc, coeffs) for coeffs in sols)
     c_qc = corner_trace_constant(qc, "i")
     c_cr = corner_square_constant(cr, "i")
     return {
@@ -840,13 +799,8 @@ def inverse_normality_check(qc, cr, co, phi1, phi2, phic) -> dict:
 
 def inverse_negative_control(qc, cr, co, phi1, phi2, phic) -> dict:
     """Dropping the trace constraints must admit failing samples."""
-    sols = holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=False)
-    failing = 0
-    for tilde in sols:
-        kappa = phic.recover_cochain(tilde)
-        _, p2 = codifferential_minus(kappa)
-        if not p2.is_zero():
-            failing += 1
+    sols = _holonomy_solutions(qc, cr, co, phi2, phic, with_traces=False)
+    failing = sum(1 for coeffs in sols if _part2_ints(qc, coeffs))
     return {
         "lemma": "inverse-negative-control",
         "dim_without_traces": len(sols),

@@ -145,6 +145,31 @@ def test_inclusions_report_bytes_pinned(tmp_path):
     )
 
 
+@pytest.mark.parametrize("constant", ["corner_trace_constant", "corner_square_constant"])
+def test_inclusions_fails_without_trace_constant(tmp_path, monkeypatch, constant):
+    """A corner constant that does not exist fails the inclusions verdict."""
+    from qcfeff import inclusions as inc
+
+    monkeypatch.setattr(inc, constant, lambda alg, unit="i": None)
+    code, text = _run(tmp_path, "inclusions", "--n", "1", "--seeds", "1")
+    assert code == 2
+    assert json.loads(text)["pass"] is False
+
+
+def test_inclusions_n2_solution_spaces_pinned(tmp_path):
+    """The n=2 solution-space entries keep their bytes."""
+    code, text = _run(
+        tmp_path, "inclusions", "--n", "2", "--full", "--seeds", "1", "--negative-controls"
+    )
+    assert code == 0
+    rep = json.loads(text)["results"]
+    assert rep["inverse_normality"]["dim_solution_space"] == 1026
+    assert rep["negative_controls"]["inverse_fails_without_traces"]
+    assert _sha256(text) == (
+        "ba843a72234ca06979c10e9cbbac5a447a010359c1b89dbb8eeee76d3723923f"
+    )
+
+
 def test_cohomology_bad_n(tmp_path):
     code = main(["cohomology", "--n", "7"])
     assert code == 4

@@ -274,14 +274,14 @@ def test_inverse_normality(inclusions1):
 def test_solution_space_checks_certify_on_their_basis(inclusions1, monkeypatch):
     """Each solution-space check runs on its basis once, with no sampled combinations."""
     qc, cr, co, phi1, phi2, phic = inclusions1
-    recover = inc.GradedInclusion.recover_cochain
+    read = inc._solution_coeffs
     calls = []
 
-    def counting_recover(self, tilde):
+    def counting_read(cols, vec):
         calls.append(None)
-        return recover(self, tilde)
+        return read(cols, vec)
 
-    monkeypatch.setattr(inc.GradedInclusion, "recover_cochain", counting_recover)
+    monkeypatch.setattr(inc, "_solution_coeffs", counting_read)
     it = inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic)
     assert it["all_exact_zero"]
     assert len(calls) == it["dim_solution_space"] == 161
@@ -329,6 +329,26 @@ def test_holonomy_traces_build_their_arguments_once(inclusions1, monkeypatch):
     assert sols
     assert calls["corner"] <= 1
     assert calls["right_mult"] <= 3 * len(qc.by_degree[-1])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_induction_complement_is_the_fiber(n, inclusions1, inclusions2):
+    """The holonomy columns are induced cochains only when the complement is I, J, K."""
+    phic = (inclusions1 if n == 1 else inclusions2)[5]
+    assert phic.complement_labels() == ["d(0)i", "d(0)j", "d(0)k"]
+
+
+def test_holonomy_solutions_recover_to_their_coefficients(inclusions1):
+    """Each upstairs holonomy solution induces from, and recovers to, its downstairs coefficients."""
+    qc, cr, co, phi1, phi2, phic = inclusions1
+    for traces in (True, False):
+        upstairs = inc.holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=traces)
+        downstairs = inc._holonomy_solutions(qc, cr, co, phi2, phic, with_traces=traces)
+        assert len(upstairs) == len(downstairs) > 0
+        for tilde, coeffs in zip(upstairs, downstairs):
+            kappa = Cochain(qc, 2, coeffs)
+            assert phic.recover_cochain(tilde) == kappa
+            assert phic.induce_cochain(kappa) == tilde
 
 
 def _cochain_digest(cochains):
@@ -449,12 +469,13 @@ def test_integer_transfer_checks_match_fraction_oracle(inclusions1, seed, factor
     if perturb:
         kappa = kappa + _fraction_cochain(qc, rng)
     for phi, source in ((phi1, kappa), (phic, kappa), (phi2, phi1.induce_cochain(kappa))):
-        assert inc._induced_closed(phi, source) == _closed_oracle(phi, source)
+        _, coeffs = coh._integer_coeffs(source)
+        assert inc._induced_closed(phi, coeffs) == _closed_oracle(phi, source)
 
 
 def test_seeded_del_checks_stay_in_integers(inclusions1, monkeypatch):
-    """A seeded del1 or del2 call runs no per-cochain Fraction operator."""
-    qc, cr, _, phi1, _, _ = inclusions1
+    """The del1, del2 and solution-space checks run no per-cochain Fraction operator."""
+    qc, cr, co, phi1, phi2, phic = inclusions1
     calls = []
 
     def refuse(name, fn):
@@ -465,14 +486,21 @@ def test_seeded_del_checks_stay_in_integers(inclusions1, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(coh, "_part1", refuse("_part1", coh._part1))
-    monkeypatch.setattr(Cochain, "eval_vectors", refuse("eval_vectors", Cochain.eval_vectors))
     monkeypatch.setattr(
-        inc.GradedInclusion, "induce_cochain", refuse("induce_cochain", inc.GradedInclusion.induce_cochain)
+        coh, "codifferential_minus", refuse("codifferential_minus", coh.codifferential_minus)
     )
+    monkeypatch.setattr(Cochain, "eval_vectors", refuse("eval_vectors", Cochain.eval_vectors))
+    for name in ("induce_cochain", "recover_cochain"):
+        monkeypatch.setattr(
+            inc.GradedInclusion, name, refuse(name, getattr(inc.GradedInclusion, name))
+        )
     fresh = inc.GradedInclusion(qc, cr, phi1.img)  # its tables are built inside the checks
     kappa = random_cochain(qc, 2, 3, lo=-2, hi=2)
     assert inc.del1_identity_check(fresh, kappa)["all_exact_zero"]
     assert inc.del2_identity_check(fresh, kappa)["all_exact_zero"]
+    assert inc.normality_transfer_check(qc, cr, co, phi1, phi2, phic)["all_exact_zero"]
+    assert inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic)["all_exact_zero"]
+    assert inc.inverse_negative_control(qc, cr, co, phi1, phi2, phic)["pass"]
     assert calls == []
 
 
