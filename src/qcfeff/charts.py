@@ -34,6 +34,16 @@ from .jets import Jet, jet_space, jet_variables
 # keeps about one cube point in 27,000
 _SAMPLE_BATCH = 4096
 
+# Fixed pairwise contraction paths, left to right, for the multi-operand
+# einsum calls of a CurvatureData build.  einsum's default runs one joint
+# loop over every summed index (m^6 terms for "ae,efcd,fb->abcd"); a pair
+# at a time it is a few m^5 products, often handed to tensordot.  The paths
+# are literals, so none is searched at run time.  The vector-sized
+# contractions of the tractor and Sparling checks keep the default, which
+# costs less than parsing a path.
+_PATH2 = ("einsum_path", (0, 1))
+_PATH3 = ("einsum_path", (0, 1), (0, 1))
+
 
 class ChartError(RuntimeError):
     pass
@@ -191,25 +201,25 @@ class CurvatureData:
     def _build(self):
         g, dg, d2g, d3g, ginv = self.g, self.dg, self.d2g, self.d3g, self.ginv
         m = self.m
-        dginv = -np.einsum("ae,efc,fb->abc", ginv, dg, ginv)
+        dginv = -np.einsum("ae,efc,fb->abc", ginv, dg, ginv, optimize=_PATH3)
         self.dginv = dginv
 
         gamma_low = 0.5 * (
             dg + np.einsum("dcb->dbc", dg) - np.einsum("bcd->dbc", dg)
         )
-        self.gamma = np.einsum("ad,dbc->abc", ginv, gamma_low)
+        self.gamma = np.einsum("ad,dbc->abc", ginv, gamma_low, optimize=_PATH2)
 
         dgamma_low = 0.5 * (
             d2g + np.einsum("dcbe->dbce", d2g) - np.einsum("bcde->dbce", d2g)
         )
-        self.dgamma = np.einsum("ad,dbce->abce", ginv, dgamma_low) + np.einsum(
-            "ade,dbc->abce", dginv, gamma_low
-        )
+        self.dgamma = np.einsum(
+            "ad,dbce->abce", ginv, dgamma_low, optimize=_PATH2
+        ) + np.einsum("ade,dbc->abce", dginv, gamma_low, optimize=_PATH2)
 
         d2ginv = -(
-            np.einsum("aed,efc,fb->abcd", dginv, dg, ginv)
-            + np.einsum("ae,efcd,fb->abcd", ginv, d2g, ginv)
-            + np.einsum("ae,efc,fbd->abcd", ginv, dg, dginv)
+            np.einsum("aed,efc,fb->abcd", dginv, dg, ginv, optimize=_PATH3)
+            + np.einsum("ae,efcd,fb->abcd", ginv, d2g, ginv, optimize=_PATH3)
+            + np.einsum("ae,efc,fbd->abcd", ginv, dg, dginv, optimize=_PATH3)
         )
         d2gamma_low = 0.5 * (
             d3g
@@ -217,51 +227,53 @@ class CurvatureData:
             - np.einsum("bcdef->dbcef", d3g)
         )
         self.d2gamma = (
-            np.einsum("ad,dbcef->abcef", ginv, d2gamma_low)
-            + np.einsum("ade,dbcf->abcef", dginv, dgamma_low)
-            + np.einsum("adf,dbce->abcef", dginv, dgamma_low)
-            + np.einsum("adef,dbc->abcef", d2ginv, gamma_low)
+            np.einsum("ad,dbcef->abcef", ginv, d2gamma_low, optimize=_PATH2)
+            + np.einsum("ade,dbcf->abcef", dginv, dgamma_low, optimize=_PATH2)
+            + np.einsum("adf,dbce->abcef", dginv, dgamma_low, optimize=_PATH2)
+            + np.einsum("adef,dbc->abcef", d2ginv, gamma_low, optimize=_PATH2)
         )
 
         gam, dgam = self.gamma, self.dgamma
         self.riem = (
             np.einsum("adbc->abcd", dgam)
             - np.einsum("acbd->abcd", dgam)
-            + np.einsum("ace,edb->abcd", gam, gam)
-            - np.einsum("ade,ecb->abcd", gam, gam)
+            + np.einsum("ace,edb->abcd", gam, gam, optimize=_PATH2)
+            - np.einsum("ade,ecb->abcd", gam, gam, optimize=_PATH2)
         )
         self.ric = np.einsum("abad->bd", self.riem)
-        self.scal = float(np.einsum("bd,bd->", ginv, self.ric))
+        self.scal = float(np.einsum("bd,bd->", ginv, self.ric, optimize=_PATH2))
         trp = -self.scal / (2.0 * (m - 1))
         self.trP = trp
         self.P = -(self.ric - (self.scal / (2.0 * (m - 1))) * g) / (m - 2)
-        self.r4 = np.einsum("ta,azxy->xyzt", g, self.riem)
+        self.r4 = np.einsum("ta,azxy->xyzt", g, self.riem, optimize=_PATH2)
         self.weyl = self.r4 - _kulkarni(self.P, g)
 
         d2gam = self.d2gamma
         driem = (
             np.einsum("adbce->abcde", d2gam)
             - np.einsum("acbde->abcde", d2gam)
-            + np.einsum("acfe,fdb->abcde", dgam, gam)
-            + np.einsum("acf,fdbe->abcde", gam, dgam)
-            - np.einsum("adfe,fcb->abcde", dgam, gam)
-            - np.einsum("adf,fcbe->abcde", gam, dgam)
+            + np.einsum("acfe,fdb->abcde", dgam, gam, optimize=_PATH2)
+            + np.einsum("acf,fdbe->abcde", gam, dgam, optimize=_PATH2)
+            - np.einsum("adfe,fcb->abcde", dgam, gam, optimize=_PATH2)
+            - np.einsum("adf,fcbe->abcde", gam, dgam, optimize=_PATH2)
         )
         self.driem = driem
         self.dric = np.einsum("abade->bde", driem)
-        self.dscal = np.einsum("bd,bde->e", ginv, self.dric) + np.einsum(
-            "bde,bd->e", dginv, self.ric
-        )
+        self.dscal = np.einsum(
+            "bd,bde->e", ginv, self.dric, optimize=_PATH2
+        ) + np.einsum("bde,bd->e", dginv, self.ric, optimize=_PATH2)
         self.dP = -(
             self.dric
-            - np.einsum("e,bd->bde", self.dscal / (2.0 * (m - 1)), g)
+            - np.einsum(
+                "e,bd->bde", self.dscal / (2.0 * (m - 1)), g, optimize=_PATH2
+            )
             - (self.scal / (2.0 * (m - 1))) * dg
         ) / (m - 2)
         # covP[c,a,b] = (nabla_c P)(a, b)
         self.covP = (
             np.einsum("abc->cab", self.dP)
-            - np.einsum("eca,eb->cab", gam, self.P)
-            - np.einsum("ecb,ae->cab", gam, self.P)
+            - np.einsum("eca,eb->cab", gam, self.P, optimize=_PATH2)
+            - np.einsum("ecb,ae->cab", gam, self.P, optimize=_PATH2)
         )
         self.cotton = self.covP - np.einsum("cab->acb", self.covP)
 
@@ -312,10 +324,10 @@ class CurvatureData:
 
 def _kulkarni(p, g):
     return (
-        np.einsum("xz,yt->xyzt", p, g)
-        + np.einsum("yt,xz->xyzt", p, g)
-        - np.einsum("xt,yz->xyzt", p, g)
-        - np.einsum("yz,xt->xyzt", p, g)
+        np.einsum("xz,yt->xyzt", p, g, optimize=_PATH2)
+        + np.einsum("yt,xz->xyzt", p, g, optimize=_PATH2)
+        - np.einsum("xt,yz->xyzt", p, g, optimize=_PATH2)
+        - np.einsum("yz,xt->xyzt", p, g, optimize=_PATH2)
     )
 
 

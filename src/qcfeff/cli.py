@@ -196,12 +196,12 @@ def suite_inclusions(n, seeds=100, negative_controls=False, full=False, progress
     if n == 1 or full:
         if progress:
             progress("normality transfer (solution space)")
-        nt = inc.normality_transfer_check(qc, cr, co, phi1, phi2, phic)
+        nt = inc.normality_transfer_check(qc, phi1, phic)
         results["normality_transfer"] = nt
         ok = ok and nt["all_exact_zero"] and nt["dim_solution_space"] > 0
         if progress:
             progress("inverse normality (solution space)")
-        it = inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic)
+        it = inc.inverse_normality_check(qc, cr, co, phi2, phic)
         results["inverse_normality"] = it
         ok = (
             ok
@@ -216,7 +216,7 @@ def suite_inclusions(n, seeds=100, negative_controls=False, full=False, progress
         bad = inc.degree_shuffled_inclusion(phi1)
         ctl1 = inc.check_structural_conditions(bad)
         ctl2 = inc.normality_negative_control(qc, phi1)
-        ctl3 = inc.inverse_negative_control(qc, cr, co, phi1, phi2, phic)
+        ctl3 = inc.inverse_negative_control(qc, cr, co, phi2, phic)
         ctl4 = inc.scaling_compat_check(phi1, wrong_element=True)
         controls_ok = (
             (not ctl1["pass"]) and ctl2["pass"] and ctl3["pass"] and (not ctl4["pass"])

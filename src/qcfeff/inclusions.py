@@ -575,7 +575,7 @@ def normal_torsionfree_space(qc, phi_qc_co):
     return [Cochain(qc, 2, coeffs) for coeffs in sols], vals
 
 
-def normality_transfer_check(qc, cr, co, phi1, phi2, phic) -> dict:
+def normality_transfer_check(qc, phi1, phic) -> dict:
     """Induced cochains of the exact solution space stay codifferential-closed.
 
     Induction and the codifferential are linear, so closure on a basis
@@ -641,7 +641,7 @@ def _holonomy_solutions(qc, cr, co, phi2, phic, with_traces):
     return [_solution_coeffs(cols, vec) for vec in sols]
 
 
-def holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True):
+def holonomy_sample_space(qc, cr, co, phi2, phic, with_traces=True):
     """Exact basis of upstairs cochains modelling a reduced normal curvature.
 
     Constraints: values in phi(g_qc); vanishing when a slot is a fiber
@@ -771,7 +771,7 @@ def _cr_trace_pairs(cr, phi2):
     return pairs
 
 
-def inverse_normality_check(qc, cr, co, phi1, phi2, phic) -> dict:
+def inverse_normality_check(qc, cr, co, phi2, phic) -> dict:
     """Downstairs codifferential closure of reduced upstairs cochains.
 
     Each holonomy solution is the induced cochain of its downstairs
@@ -797,7 +797,7 @@ def inverse_normality_check(qc, cr, co, phi1, phi2, phic) -> dict:
     }
 
 
-def inverse_negative_control(qc, cr, co, phi1, phi2, phic) -> dict:
+def inverse_negative_control(qc, cr, co, phi2, phic) -> dict:
     """Dropping the trace constraints must admit failing samples."""
     sols = _holonomy_solutions(qc, cr, co, phi2, phic, with_traces=False)
     failing = sum(1 for coeffs in sols if _part2_ints(qc, coeffs))

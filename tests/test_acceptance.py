@@ -93,12 +93,12 @@ def test_criterion_04_transfer_lemmas(inclusions1, inclusions2):
 
 def test_criterion_05_normality_transfer(inclusions1):
     qc, cr, co, phi1, phi2, phic = inclusions1
-    nt = inc.normality_transfer_check(qc, cr, co, phi1, phi2, phic)
+    nt = inc.normality_transfer_check(qc, phi1, phic)
     ok = nt["all_exact_zero"] and nt["dim_solution_space"] > 0
-    it = inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic)
+    it = inc.inverse_normality_check(qc, cr, co, phi2, phic)
     ok = ok and it["all_exact_zero"]
     neg1 = inc.normality_negative_control(qc, phi1)
-    neg2 = inc.inverse_negative_control(qc, cr, co, phi1, phi2, phic)
+    neg2 = inc.inverse_negative_control(qc, cr, co, phi2, phic)
     ok = ok and neg1["pass"] and neg2["pass"]
     _report(
         5,

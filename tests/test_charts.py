@@ -182,3 +182,60 @@ def test_sample_points_match_one_draw_at_a_time(dim, count):
             want = _sample_points_one_draw_at_a_time(chart, count, seed)
             assert len(got) == count
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def _curvature_points():
+    """A quadric n=2 point, a rescaled quadric n=1 point and a random-metric point."""
+    from qcfeff.models import quadric_model
+
+    q2 = quadric_model(2)[0]
+    q1 = quadric_model(1)[0]
+    resc = q1.rescaled(ch.random_conf_factor(q1.dim, 7, scale=0.05))
+    rnd = ch.random_polynomial_chart(4, 3)
+    return [(chart, chart.sample_points(1, seed=5)[0]) for chart in (q2, resc, rnd)]
+
+
+def test_curvature_build_contracts_on_fixed_paths(monkeypatch):
+    """No multi-operand contraction of a CurvatureData build searches or loops naively."""
+    chart, pt = _curvature_points()[0]
+    einsum = np.einsum
+    calls = []
+
+    def recording(spec, *operands, **kwargs):
+        calls.append((spec, len(operands), kwargs.get("optimize", False)))
+        return einsum(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    ch.CurvatureData(chart, pt)
+    multi = [(spec, k, path) for spec, k, path in calls if k >= 2]
+    assert len(multi) >= 24
+    unpathed = [
+        spec
+        for spec, k, path in multi
+        if not (isinstance(path, (list, tuple)) and path[0] == "einsum_path")
+        or len(path) != k
+    ]
+    assert unpathed == []
+
+
+_CURVATURE_FIELDS = (
+    "dginv", "gamma", "dgamma", "d2gamma", "riem", "ric", "scal",
+    "weyl", "driem", "dric", "dP", "covP", "cotton",
+)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["quadric2", "rescaled1", "random4"])
+def test_curvature_paths_keep_the_naive_sums(monkeypatch, index):
+    """The pairwise paths change only the rounding of the naive einsum sums."""
+    chart, pt = _curvature_points()[index]
+    einsum = np.einsum
+    with monkeypatch.context() as naive:
+        naive.setattr(
+            np, "einsum", lambda *args, **kw: einsum(*args, **{**kw, "optimize": False})
+        )
+        ref = ch.CurvatureData(chart, pt)
+    got = ch.CurvatureData(chart, pt)
+    for name in _CURVATURE_FIELDS:
+        want = np.asarray(getattr(ref, name))
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(want))))
+        assert float(np.max(np.abs(np.asarray(getattr(got, name)) - want))) <= tol, name

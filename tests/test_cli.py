@@ -215,13 +215,14 @@ def test_random_metrics_nonfinite_residual_fails():
     [
         (
             ("model", "--n", "1", "--samples", "5", "--seed", "11", "--rescale-seed", "7"),
-            "e7d03a4e114a5b8a68d0d6a0b68bc81b1a79ea41b043e081ff87bea4a118a8f5",
+            "9788b0195f0fc99d52175da246859497e83170b8d5f5582624ab9abea578642f",
         ),
         (
             ("model", "--metric", "heisenberg", "--n", "1", "--samples", "4"),
-            "425ffd85258a2f2aaff3ca0e9eb288a502f0d3a6891550cadbddd02957ede655",
+            "e7df0a2ba35bf2f717aebcbb36e80c10763cba0de982e9a769db1eadd5e18871",
         ),
     ],
+    ids=["quadric", "heisenberg"],
 )
 def test_model_report_bytes_pinned(tmp_path, args, digest):
     code, text = _run(tmp_path, *args)

@@ -250,8 +250,8 @@ def test_del2_supported_away(inclusions1):
 
 
 def test_normality_transfer(inclusions1):
-    qc, cr, co, phi1, phi2, phic = inclusions1
-    rep = inc.normality_transfer_check(qc, cr, co, phi1, phi2, phic)
+    qc, _, _, phi1, _, phic = inclusions1
+    rep = inc.normality_transfer_check(qc, phi1, phic)
     assert rep["all_exact_zero"]
     assert rep["dim_solution_space"] > 0
 
@@ -263,8 +263,8 @@ def test_normality_negative_control(inclusions1):
 
 
 def test_inverse_normality(inclusions1):
-    qc, cr, co, phi1, phi2, phic = inclusions1
-    rep = inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic)
+    qc, cr, co, _, phi2, phic = inclusions1
+    rep = inc.inverse_normality_check(qc, cr, co, phi2, phic)
     assert rep["all_exact_zero"]
     assert rep["part1_all_zero"] and rep["part2_all_zero"]
     assert rep["dim_solution_space"] > 0
@@ -282,10 +282,10 @@ def test_solution_space_checks_certify_on_their_basis(inclusions1, monkeypatch):
         return read(cols, vec)
 
     monkeypatch.setattr(inc, "_solution_coeffs", counting_read)
-    it = inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic)
+    it = inc.inverse_normality_check(qc, cr, co, phi2, phic)
     assert it["all_exact_zero"]
     assert len(calls) == it["dim_solution_space"] == 161
-    nt = inc.normality_transfer_check(qc, cr, co, phi1, phi2, phic)
+    nt = inc.normality_transfer_check(qc, phi1, phic)
     for rep in (nt, it):
         assert rep["certificate"] == "basis"
         assert "seeds" not in rep
@@ -297,8 +297,8 @@ def test_inverse_normality_holds_on_rational_combinations(inclusions1):
     This is the linearity that lets inverse_normality_check certify the
     solution space on its basis alone.
     """
-    qc, cr, co, phi1, phi2, phic = inclusions1
-    sols = inc.holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True)
+    qc, cr, co, _, phi2, phic = inclusions1
+    sols = inc.holonomy_sample_space(qc, cr, co, phi2, phic, with_traces=True)
     rng = random.Random(21)
     tilde = Cochain(co, 2)
     for sol in rng.sample(sols, 3):
@@ -313,7 +313,7 @@ def test_inverse_normality_holds_on_rational_combinations(inclusions1):
 
 def test_holonomy_traces_build_their_arguments_once(inclusions1, monkeypatch):
     """The trace arguments are fixed data: built once per call, not once per column."""
-    qc, cr, co, phi1, phi2, phic = inclusions1
+    qc, cr, co, _, phi2, phic = inclusions1
     calls = {"corner": 0, "right_mult": 0}
 
     def counted(name, fn):
@@ -325,7 +325,7 @@ def test_holonomy_traces_build_their_arguments_once(inclusions1, monkeypatch):
 
     monkeypatch.setattr(inc, "corner_bracket_map", counted("corner", inc.corner_bracket_map))
     monkeypatch.setattr(inc, "_entry_right_mult", counted("right_mult", inc._entry_right_mult))
-    sols = inc.holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=True)
+    sols = inc.holonomy_sample_space(qc, cr, co, phi2, phic, with_traces=True)
     assert sols
     assert calls["corner"] <= 1
     assert calls["right_mult"] <= 3 * len(qc.by_degree[-1])
@@ -340,9 +340,9 @@ def test_induction_complement_is_the_fiber(n, inclusions1, inclusions2):
 
 def test_holonomy_solutions_recover_to_their_coefficients(inclusions1):
     """Each upstairs holonomy solution induces from, and recovers to, its downstairs coefficients."""
-    qc, cr, co, phi1, phi2, phic = inclusions1
+    qc, cr, co, _, phi2, phic = inclusions1
     for traces in (True, False):
-        upstairs = inc.holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=traces)
+        upstairs = inc.holonomy_sample_space(qc, cr, co, phi2, phic, with_traces=traces)
         downstairs = inc._holonomy_solutions(qc, cr, co, phi2, phic, with_traces=traces)
         assert len(upstairs) == len(downstairs) > 0
         for tilde, coeffs in zip(upstairs, downstairs):
@@ -374,12 +374,12 @@ _SOLUTION_DIGESTS = {
 
 def test_solution_spaces_pinned(inclusions1):
     """The integer rows give the same solution cochains as the per-cochain rows."""
-    qc, cr, co, phi1, phi2, phic = inclusions1
+    qc, cr, co, _, phi2, phic = inclusions1
     sols, _ = inc.normal_torsionfree_space(qc, phic)
     assert len(sols) == 161
     assert _cochain_digest(sols) == _SOLUTION_DIGESTS["normal_torsionfree"]
     for traces, tag, dim in ((True, "holonomy_traces", 161), (False, "holonomy_no_traces", 182)):
-        sols = inc.holonomy_sample_space(qc, cr, co, phi1, phi2, phic, with_traces=traces)
+        sols = inc.holonomy_sample_space(qc, cr, co, phi2, phic, with_traces=traces)
         assert len(sols) == dim
         assert _cochain_digest(sols) == _SOLUTION_DIGESTS[tag]
 
@@ -498,9 +498,9 @@ def test_seeded_del_checks_stay_in_integers(inclusions1, monkeypatch):
     kappa = random_cochain(qc, 2, 3, lo=-2, hi=2)
     assert inc.del1_identity_check(fresh, kappa)["all_exact_zero"]
     assert inc.del2_identity_check(fresh, kappa)["all_exact_zero"]
-    assert inc.normality_transfer_check(qc, cr, co, phi1, phi2, phic)["all_exact_zero"]
-    assert inc.inverse_normality_check(qc, cr, co, phi1, phi2, phic)["all_exact_zero"]
-    assert inc.inverse_negative_control(qc, cr, co, phi1, phi2, phic)["pass"]
+    assert inc.normality_transfer_check(qc, phi1, phic)["all_exact_zero"]
+    assert inc.inverse_normality_check(qc, cr, co, phi2, phic)["all_exact_zero"]
+    assert inc.inverse_negative_control(qc, cr, co, phi2, phic)["pass"]
     assert calls == []
 
 
@@ -515,8 +515,8 @@ def test_shuffled_inclusion_rebuilds_every_cache(inclusions1):
 
 
 def test_inverse_negative_control(inclusions1):
-    qc, cr, co, phi1, phi2, phic = inclusions1
-    rep = inc.inverse_negative_control(qc, cr, co, phi1, phi2, phic)
+    qc, cr, co, _, phi2, phic = inclusions1
+    rep = inc.inverse_negative_control(qc, cr, co, phi2, phic)
     assert rep["pass"]
     assert rep["dim_without_traces"] > 0
 
