@@ -13,15 +13,10 @@ from .gradedlie import (
     build_co,
     build_cr,
     build_qc,
-    centralizer_in_degree,
 )
 from .cohomology import (
     Cochain,
     bracket_tensor_id,
-    codifferential,
-    codifferential_minus,
-    codifferential_wedge,
-    differential,
     harmonic_space,
     hodge_check,
 )
@@ -32,7 +27,7 @@ from .inclusions import (
     check_structural_conditions,
     compose,
 )
-from .jets import Jet, jet_eval
+from .jets import Jet
 from .charts import CurvatureData, MetricChart, VectorFieldOnChart
 
 __all__ = [
@@ -52,16 +47,10 @@ __all__ = [
     "build_phi_cr_co",
     "build_phi_qc_cr",
     "build_qc",
-    "centralizer_in_degree",
     "check_structural_conditions",
-    "codifferential",
-    "codifferential_minus",
-    "codifferential_wedge",
     "compose",
-    "differential",
     "harmonic_space",
     "hodge_check",
-    "jet_eval",
     "kernel_basis",
     "realify_C",
     "realify_H",

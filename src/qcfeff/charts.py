@@ -476,22 +476,6 @@ def _tractors_at(chart, fields, point):
     return [TractorData(curv, field) for field in fields]
 
 
-def conformal_killing_residual(chart, field, point):
-    """(killing_residual, lam) of TractorData: L_k g - lam g, normalized."""
-    (td,) = _tractors_at(chart, (field,), point)
-    return td.killing_residual, td.lam
-
-
-def tractor_split(chart, field, point, tol=1e-8) -> TractorData:
-    (td,) = _tractors_at(chart, (field,), point)
-    if td.killing_residual > tol:
-        raise NotConformalKilling(
-            "field %s is not conformal Killing (residual %.3e)"
-            % (field.label, td.killing_residual)
-        )
-    return td
-
-
 def second_derivative_identity_residual(td: TractorData):
     """The parallel-tractor curvature identity for Killing fields."""
     c = td.curv
@@ -638,38 +622,6 @@ def trace_contractions(td: TractorData):
     }
 
 
-def trace_contraction_check(chart, field, point):
-    """trace_contractions of a field at a point of a chart."""
-    return trace_contractions(*_tractors_at(chart, (field,), point))
-
-
-def pseudo_orthonormal_frame(g, pivot_tol=1e-8):
-    """Gram-Schmidt frame with signs; raises on degenerate pivots."""
-    m = g.shape[0]
-    vecs = [np.eye(m)[:, a] for a in range(m)]
-    frame = []
-    eps = []
-    for _ in range(m):
-        best, best_val = None, 0.0
-        for v in vecs:
-            val = abs(float(v @ g @ v))
-            if val > best_val:
-                best, best_val = v, val
-        if best is None or best_val <= pivot_tol:
-            raise ChartError("degenerate pivot in frame construction")
-        nrm = float(best @ g @ best)
-        e = best / math.sqrt(abs(nrm))
-        s = 1.0 if nrm > 0 else -1.0
-        frame.append(e)
-        eps.append(s)
-        vecs = [
-            v - (float(v @ g @ e) / s) * e
-            for v in vecs
-            if v is not best
-        ]
-    return np.array(frame).T, np.array(eps)
-
-
 # ---------------------------------------------------------------------------
 # standard charts
 # ---------------------------------------------------------------------------
@@ -766,47 +718,3 @@ def weyl_conformal_covariance_residual(chart, point, conf_fn):
     factor = math.exp(2.0 * conf_fn(xs).value)
     diff = resc.weyl - factor * base.weyl
     return float(np.max(np.abs(diff))) / (1.0 + float(np.max(np.abs(base.weyl))))
-
-
-def frame_independence_residual(chart, point, seed=0):
-    """Curvature scalars agree under a random linear change of coordinates."""
-    rng = np.random.default_rng(seed)
-    m = chart.dim
-    A = np.eye(m) + 0.2 * rng.uniform(-1, 1, (m, m))
-
-    def metric(xs):
-        ys = [None] * m
-        for a in range(m):
-            acc = None
-            for b in range(m):
-                t = xs[b] * float(A[a, b])
-                acc = t if acc is None else acc + t
-            ys[a] = acc
-        rows = chart.metric_fn(ys)
-        out = [[None] * m for _ in range(m)]
-        for a in range(m):
-            for b in range(m):
-                acc = None
-                for c in range(m):
-                    for d in range(m):
-                        coef = float(A[c, a] * A[d, b])
-                        if coef:
-                            t = rows[c][d] * coef
-                            acc = t if acc is None else acc + t
-                out[a][b] = acc
-        return out
-
-    pulled = MetricChart(chart.name + "+lin", m, metric, chart.signature)
-    pt2 = np.linalg.solve(A, np.asarray(point, float))
-    c1 = CurvatureData(chart, point)
-    c2 = CurvatureData(pulled, pt2)
-    res = abs(c1.scal - c2.scal) / (1.0 + abs(c1.scal))
-
-    def weyl_norm2(c):
-        up = np.einsum(
-            "xa,yb,zc,td,abcd->xyzt", c.ginv, c.ginv, c.ginv, c.ginv, c.weyl
-        )
-        return float(np.einsum("xyzt,xyzt->", up, c.weyl))
-
-    w1, w2 = weyl_norm2(c1), weyl_norm2(c2)
-    return max(res, abs(w1 - w2) / (1.0 + abs(w1)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -488,6 +489,9 @@ def _parse_tolerances(pairs):
             out[k] = float(v)
         except ValueError:
             raise UsageError("tolerance %s takes a number, not %r" % (k, v)) from None
+        # inf would pass every check and 0 or less fail every one; inf and nan are not JSON
+        if not (math.isfinite(out[k]) and out[k] > 0):
+            raise UsageError("tolerance %s must be finite and positive, not %r" % (k, v))
     return out
 
 
@@ -503,7 +507,7 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
-def _to_markdown(report, depth=0):
+def _to_markdown(report):
     lines = ["# %s report" % report.get("suite", "verification"), ""]
     lines.append("| key | value |")
     lines.append("| --- | --- |")

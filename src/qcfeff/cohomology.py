@@ -2,16 +2,16 @@
 
 Cochains C^n(g_-, g) are stored sparsely: strictly increasing tuples of
 minus-basis indices mapped to value vectors over the full basis
-(antisymmetry is structural).  The differential is the Chevalley-
-Eilenberg formula; the codifferential is implemented twice, once
-through the dual-basis formula ((d*phi)_1 - 1/2 (d*phi)_2) and once
-through the wedge picture on Lambda^n p_+ (x) g, where it is the Lie
-homology boundary of p_+.  The two routes are exact cross-oracles.
-On a homogeneity block the Laplacian is assembled once from integer
-multiples of the same structure tables; the per-cochain operators are
-the reference its columns are tested against.  Both codifferential
-parts on C^2 also act on integer cochains through those tables
-(``_part1_ints``, ``_part2_ints_at``) for the inclusion checks.
+(antisymmetry is structural).  Every operator acts on integer multiples
+of per-algebra structure tables (``_IntTables``).  On a homogeneity
+block the differential (the Chevalley-Eilenberg formula) and the
+codifferential (the Lie homology boundary of p_+ on Lambda^n p_+ (x) g,
+the wedge picture) are assembled once as integer columns, and the
+Kostant Laplacian is composed from them.  On C^2 both parts of the
+dual-basis codifferential ((d*phi)_1 - 1/2 (d*phi)_2) act on integer
+cochains (``_part1_ints``, ``_part2_ints_at``) for the inclusion checks.
+The rational per-cochain forms of these operators live with the tests,
+as the reference the integer columns are checked against.
 
 Sign conventions: the identification of C^2 with Lambda^2 p_+ (x) g
 carries a global factor -1 (and C^3 a factor +1) so that the wedge
@@ -53,9 +53,6 @@ class Cochain:
                 if v:
                     self.coeffs[tuple(key)] = v
 
-    def copy(self):
-        return _cochain(self.alg, self.degree, {k: dict(v) for k, v in self.coeffs.items()})
-
     def is_zero(self):
         return not self.coeffs
 
@@ -67,98 +64,11 @@ class Cochain:
         if not tgt:
             del self.coeffs[key]
 
-    def __add__(self, o):
-        out = self.copy()
-        for k, v in o.coeffs.items():
-            out.add_term(k, v)
-        return out
-
-    def __sub__(self, o):
-        out = self.copy()
-        for k, v in o.coeffs.items():
-            out.add_term(k, v, _F1 * -1)
-        return out
-
-    def scale(self, r):
-        r = _F0 + r
-        if not r:
-            return Cochain(self.alg, self.degree)
-        return _cochain(
-            self.alg,
-            self.degree,
-            {k: {m: c * r for m, c in v.items()} for k, v in self.coeffs.items()},
-        )
-
-    def value_at(self, key):
-        """Value on a possibly unsorted index tuple (antisymmetric lookup)."""
-        if len(set(key)) != len(key):
-            return {}
-        order = sorted(range(len(key)), key=lambda t: key[t])
-        sign = _perm_sign(order)
-        skey = tuple(key[t] for t in order)
-        vec = self.coeffs.get(skey)
-        if not vec:
-            return {}
-        return vec if sign == 1 else {m: -c for m, c in vec.items()}
-
-    def eval_vectors(self, *args):
-        """Multilinear evaluation on coefficient dicts over the basis."""
-        out = {}
-        items = [list(a.items()) for a in args]
-
-        def rec(pos, idx, coef):
-            if pos == len(items):
-                _add_scaled(out, self.value_at(tuple(idx)), coef)
-                return
-            for i, a in items[pos]:
-                rec(pos + 1, idx + [i], coef * a)
-
-        rec(0, [], _F1)
-        return out
-
-    def homogeneity_split(self):
-        """Decomposition by grading weight; keys are the weights l."""
-        alg = self.alg
-        parts = {}
-        for key, vec in self.coeffs.items():
-            base = sum(alg.degrees[i] for i in key)
-            for m, c in vec.items():
-                l = alg.degrees[m] - base
-                part = parts.setdefault(l, Cochain(alg, self.degree))
-                part.add_term(key, {m: c})
-        return parts
-
-    def __eq__(self, o):
-        return (
-            isinstance(o, Cochain)
-            and self.alg is o.alg
-            and self.degree == o.degree
-            and (self - o).is_zero()
-        )
-
-
 def _cochain(alg, degree, coeffs):
     """A Cochain over coeffs that already hold nonzero Fractions only."""
     out = Cochain(alg, degree)
     out.coeffs = coeffs
     return out
-
-
-def _perm_sign(order):
-    sign = 1
-    seen = [False] * len(order)
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _insert_sorted(tup, x):
@@ -171,37 +81,6 @@ def _insert_sorted(tup, x):
     return pos, tup[:pos] + (x,) + tup[pos:]
 
 
-def differential(phi: Cochain) -> Cochain:
-    """Chevalley-Eilenberg differential C^n -> C^(n+1)."""
-    alg = phi.alg
-    n = phi.degree
-    out = Cochain(alg, n + 1)
-    tables = _tables(alg)
-    for key, vec in phi.coeffs.items():
-        # first sum: (-1)^i [X_i, phi(rest)]
-        for x in tables.minus:
-            ins = _insert_sorted(key, x)
-            if ins is None:
-                continue
-            pos, tkey = ins
-            bracket = alg.bracket_vec({x: _F1}, vec)
-            if bracket:
-                out.add_term(tkey, bracket, _F1 * ((-1) ** pos))
-        # second sum: (-1)^(i+j) phi([X_i, X_j], rest)
-        for t, mm in enumerate(key):
-            rest = key[:t] + key[t + 1:]
-            sign_front = (-1) ** t
-            for a, b, c in tables.br_to_minus.get(mm, ()):
-                if a in rest or b in rest:
-                    continue
-                _, t1 = _insert_sorted(rest, a)
-                _, tkey = _insert_sorted(t1, b)
-                i = tkey.index(a)
-                j = tkey.index(b)
-                out.add_term(tkey, vec, c * ((-1) ** (i + j)) * sign_front)
-    return out
-
-
 class _IntTables(NamedTuple):
     """Integer multiples of the tables that assemble d and d* on a block.
 
@@ -212,7 +91,7 @@ class _IntTables(NamedTuple):
 
     d_scale: int  # lcm of the denominators of [e_x, e_m], x in g_-
     left: list  # left[m]: [(x, {l: d_scale [e_x, e_m]_l})], x in g_-, nonzero
-    br_to_minus: dict  # m -> [(a, b, d_scale c)] from _Tables.br_to_minus
+    br_to_minus: dict  # m in g_- -> [(a, b, d_scale [e_a, e_b]_m)], a < b in g_-
     c_scale: int  # lcm of the denominators of dual_brackets and pairs
     dual_brackets: list  # dual_brackets[m][t]: {l: c_scale [e_m, e^t]_l}
     pairs: dict  # (a, b) in g_-, a < b -> {x: c_scale B([e^a, e^b], e_x)}
@@ -222,11 +101,8 @@ class _Tables(NamedTuple):
     """Structure tables of one algebra that the cochain operators share."""
 
     minus: list  # minus-basis indices
-    duals: list  # duals[t]: Killing dual of e_minus[t] in p+
     pos_of: dict  # minus index -> its position t
-    br_to_minus: dict  # minus index m -> [(a, b, c)]: c = [e_a, e_b]_m, a < b
     pair_brackets: dict  # (s, t), s < t -> {pos: B([e^s, e^t], e_minus[pos])}
-    minus_brackets: list  # minus_brackets[i]: [(t, [e_i, e^t]_-)], nonzero ones
     ints: _IntTables
 
 
@@ -239,11 +115,6 @@ def _tables(alg) -> _Tables:
     if tables is not None:
         return tables
     minus, duals = alg.dual_basis()
-    br_to_minus = {}
-    for ia, a in enumerate(minus):
-        for b in minus[ia + 1:]:
-            for m, c in alg.bracket_indices(a, b).items():
-                br_to_minus.setdefault(m, []).append((a, b, c))
     pair_brackets = {}
     for i in range(len(duals)):
         for j in range(i + 1, len(duals)):
@@ -255,35 +126,30 @@ def _tables(alg) -> _Tables:
                     exp[t] = val
             if exp:
                 pair_brackets[(i, j)] = exp
-    # dual_brackets[i][t] = [e_i, e^t]
-    dual_brackets = [
-        [alg.bracket_vec({i: _F1}, dual) for dual in duals] for i in range(alg.dim)
-    ]
-    minus_brackets = []
-    for row in dual_brackets:
-        out = []
-        for t, br in enumerate(row):
-            br_minus = {j: c for j, c in br.items() if alg.degrees[j] < 0}
-            if br_minus:
-                out.append((t, br_minus))
-        minus_brackets.append(out)
     tables = _Tables(
         minus,
-        duals,
         {m: t for t, m in enumerate(minus)},
-        br_to_minus,
         pair_brackets,
-        minus_brackets,
-        _int_tables(alg, minus, br_to_minus, pair_brackets, dual_brackets),
+        _int_tables(alg, minus, duals, pair_brackets),
     )
     _TABLES[alg] = tables
     return tables
 
 
-def _int_tables(alg, minus, br_to_minus, pair_brackets, dual_brackets):
+def _int_tables(alg, minus, duals, pair_brackets):
     left = [
         [(x, br) for x in minus if (br := alg.bracket_indices(x, m))]
         for m in range(alg.dim)
+    ]
+    # [e_a, e_b] for a < b in g_-, by the minus index it reaches
+    br_to_minus = {}
+    for ia, a in enumerate(minus):
+        for b in minus[ia + 1:]:
+            for m, c in alg.bracket_indices(a, b).items():
+                br_to_minus.setdefault(m, []).append((a, b, c))
+    # dual_brackets[i][t] = [e_i, e^t]
+    dual_brackets = [
+        [alg.bracket_vec({i: _F1}, dual) for dual in duals] for i in range(alg.dim)
     ]
     d_scale = _denominator_lcm(br for row in left for _, br in row)
     c_scale = _denominator_lcm(
@@ -320,22 +186,6 @@ def _times(c, scale) -> int:
 
 def _scaled(vec, scale):
     return {k: _times(c, scale) for k, c in vec.items()}
-
-
-def _part1(phi: Cochain) -> Cochain:
-    """First part of the dual-basis codifferential on C^2.
-
-    Its value at e_a is the sum over b of [phi(e_a, e_b), e^b].
-    """
-    alg = phi.alg
-    tables = _tables(alg)
-    duals, pos_of = tables.duals, tables.pos_of
-    part1 = Cochain(alg, 1)
-    for (a, b), vec in phi.coeffs.items():
-        # X = e_a with alpha = b, and X = e_b with alpha = a (antisymmetry)
-        part1.add_term((a,), alg.bracket_vec(vec, duals[pos_of[b]]))
-        part1.add_term((b,), alg.bracket_vec(vec, duals[pos_of[a]]), -_F1)
-    return part1
 
 
 def _integer_coeffs(phi: Cochain):
@@ -399,111 +249,6 @@ def _codifferential_ints(alg, coeffs):
         _add_scaled(acc, vec, -1)
         if not acc:
             del out[y]
-    return out
-
-
-def codifferential_minus(phi: Cochain):
-    """Both parts of the dual-basis codifferential on C^2.
-
-    Returns (part1, part2) as degree-1 cochains; the codifferential is
-    part1 - 1/2 part2.
-    """
-    if phi.degree != 2:
-        raise ValueError("codifferential_minus expects a degree-2 cochain")
-    alg = phi.alg
-    part2 = Cochain(alg, 1)
-    for m in _tables(alg).minus:
-        vec = codiff_part2_at(phi, {m: _F1})
-        if vec:
-            part2.add_term((m,), vec)
-    return _part1(phi), part2
-
-
-def codiff_part2_at(phi: Cochain, yvec):
-    """Sum over alpha of phi([Y, e^alpha]_-, e_alpha) for an element Y."""
-    tables = _tables(phi.alg)
-    # [Y, e^t]_- for every t, by linearity in Y from the [e_i, e^t]_- table
-    brackets = {}
-    for i, y in yvec.items():
-        for t, br in tables.minus_brackets[i]:
-            _add_scaled(brackets.setdefault(t, {}), br, y)
-    out = {}
-    for t, br_minus in sorted(brackets.items()):
-        if not br_minus:
-            continue
-        _add_scaled(out, phi.eval_vectors(br_minus, {tables.minus[t]: _F1}))
-    return out
-
-
-def codifferential(phi: Cochain) -> Cochain:
-    """Total codifferential part1 - 1/2 part2 on C^2."""
-    p1, p2 = codifferential_minus(phi)
-    return p1 - p2.scale(Fraction(1, 2))
-
-
-def _wedge_boundary(alg, n, coeffs):
-    """Lie homology boundary on Lambda^n p_+ (x) g in dual-basis coords.
-
-    ``coeffs``: {increasing minus-position tuple: value vector}; returns
-    the same structure for degree n-1.
-    """
-    tables = _tables(alg)
-    duals, pair_brackets = tables.duals, tables.pair_brackets
-    out = {}
-
-    def add(key, vec, scl):
-        tgt = out.setdefault(key, {})
-        _add_scaled(tgt, vec, scl)
-        if not tgt:
-            del out[key]
-
-    for key, vec in coeffs.items():
-        for t, zi in enumerate(key):
-            rest = key[:t] + key[t + 1:]
-            sgn = _F1 * ((-1) ** t)
-            # (-1)^i Z_1 ... ^ ... Z_k (x) [Z_i, A]   (0-based: (-1)^t matches
-            # the alternating boundary with the k=2 display)
-            bracket = alg.bracket_vec(duals[zi], vec)
-            if bracket:
-                add(rest, bracket, -sgn)
-        for t in range(len(key)):
-            for u in range(t + 1, len(key)):
-                exp = pair_brackets.get((min(key[t], key[u]), max(key[t], key[u])))
-                if not exp:
-                    continue
-                flip = 1 if key[t] < key[u] else -1
-                rest = tuple(x for s, x in enumerate(key) if s != t and s != u)
-                for pos, c in exp.items():
-                    ins = _insert_sorted(rest, pos)
-                    if ins is None:
-                        continue
-                    ppos, tkey = ins
-                    add(
-                        tkey,
-                        vec,
-                        c * flip * ((-1) ** (t + u)) * ((-1) ** ppos),
-                    )
-    return out
-
-
-def codifferential_wedge(phi: Cochain) -> Cochain:
-    """Codifferential via the wedge picture, degrees 1..3."""
-    n = phi.degree
-    if n not in (1, 2, 3):
-        raise ValueError("wedge codifferential defined for degrees 1..3")
-    alg = phi.alg
-    tables = _tables(alg)
-    coeffs = {
-        tuple(tables.pos_of[i] for i in key): vec for key, vec in phi.coeffs.items()
-    }
-    sign_in = _WEDGE_SIGN[n]
-    sign_out = _WEDGE_SIGN.get(n - 1, 1)
-    if sign_in != 1:
-        coeffs = {k: {m: sign_in * c for m, c in v.items()} for k, v in coeffs.items()}
-    bnd = _wedge_boundary(alg, n, coeffs)
-    out = Cochain(alg, n - 1)
-    for key, vec in bnd.items():
-        out.add_term(tuple(tables.minus[t] for t in key), vec, _F1 * sign_out)
     return out
 
 
@@ -614,7 +359,8 @@ def _add_entry(col, index, target, value):
 
 
 def _differential_columns(tables, basis, index):
-    """Columns of d_scale * d on the basis cochains (key, m), as in differential."""
+    """Columns of d_scale * d on the basis cochains (key, m), by the
+    Chevalley-Eilenberg formula."""
     ints = tables.ints
     cols = []
     for key, m in basis:
@@ -643,8 +389,8 @@ def _differential_columns(tables, basis, index):
 
 
 def _codifferential_columns(tables, n, basis, index):
-    """Columns of c_scale * d* on the basis cochains of C^n, as in
-    codifferential_wedge (keys are increasing, so no pair is flipped)."""
+    """Columns of c_scale * d* on the basis cochains of C^n, by the wedge-picture
+    boundary (keys are increasing, so no pair is flipped)."""
     if basis and n not in _WEDGE_SIGN:
         raise ValueError("wedge codifferential defined for degrees 1..3")
     ints = tables.ints

@@ -97,26 +97,12 @@ class Quaternion:
     def conj(self) -> "Quaternion":
         return Quaternion(self.a, -self.b, -self.c, -self.d)
 
-    def norm2(self) -> Fraction:
-        return self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2
-
-    def inverse(self) -> "Quaternion":
-        n = self.norm2()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero quaternion")
-        return Quaternion(self.a / n, -self.b / n, -self.c / n, -self.d / n)
-
     def scale(self, r) -> "Quaternion":
         r = _frac(r)
         return Quaternion(self.a * r, self.b * r, self.c * r, self.d * r)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
-
-    def kind(self) -> str:
-        if self.c == 0 and self.d == 0:
-            return "rational" if self.b == 0 else "complex"
-        return "quaternion"
 
     # complex split q = U + jV, U = a+bi, V = c-di
     def complex_split(self):
@@ -170,25 +156,8 @@ class ExactMatrix:
         self._row_index = None
 
     @classmethod
-    def from_rows(cls, data, kind="rational"):
-        ent = {}
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                v = as_quat(v)
-                if not v.is_zero():
-                    ent[(i, j)] = v
-        return cls(len(data), len(data[0]) if data else 0, ent, kind)
-
-    @classmethod
-    def identity(cls, n, kind="rational"):
-        return cls(n, n, {(i, i): Q_ONE for i in range(n)}, kind)
-
-    @classmethod
     def zero(cls, rows, cols, kind="rational"):
         return cls(rows, cols, {}, kind)
-
-    def at(self, i, j) -> Quaternion:
-        return self.entries.get((i, j), Quaternion())
 
     def _rows_of(self):
         if self._row_index is None:
@@ -211,11 +180,6 @@ class ExactMatrix:
         for k, v in o.entries.items():
             ent[k] = ent.get(k, Quaternion()) - v
         return ExactMatrix(self.rows, self.cols, ent, self._join_kind(o))
-
-    def __neg__(self):
-        return ExactMatrix(
-            self.rows, self.cols, {k: -v for k, v in self.entries.items()}, self.kind
-        )
 
     def scale(self, r):
         return ExactMatrix(
@@ -576,10 +540,3 @@ class SpanSolver:
         for k, v in coeff.items():
             out[k] = -v
         return out
-
-    def contains(self, vec) -> bool:
-        try:
-            self.coords(vec)
-            return True
-        except ValueError:
-            return False

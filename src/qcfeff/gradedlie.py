@@ -25,7 +25,6 @@ from .exact import (
     Q_UNITS,
     SpanSolver,
     _add_scaled,
-    kernel_basis,
     realify_C,
     realify_H,
 )
@@ -422,28 +421,3 @@ def build_co(p: int, q: int) -> GradedLieAlgebra:
 def build_chain(n: int):
     """The nested triple for parameter n (common real ambient)."""
     return build_qc(n), build_cr(2 * n + 1, 1), build_co(4 * n + 3, 3)
-
-
-def centralizer_in_degree(alg: GradedLieAlgebra, degree: int, subspace):
-    """Exact basis of {X in g_degree : [Z, X] = 0 for all Z in subspace}.
-
-    ``subspace`` is a list of coefficient dicts over the basis of alg.
-    Returns a list of coefficient dicts supported in the degree block.
-    """
-    idxs = alg.by_degree.get(degree, [])
-    if not idxs:
-        return []
-    rows = []
-    for z in subspace:
-        cols = {}
-        for t, i in enumerate(idxs):
-            br = alg.bracket_vec(z, {i: _F1})
-            for l, c in br.items():
-                cols.setdefault(l, {})[t] = c
-        rows.extend(cols.values())
-    if not rows:
-        return [{i: _F1} for i in idxs]
-    basis = kernel_basis(rows, len(idxs))
-    return [
-        {idxs[t]: c for t, c in enumerate(vec) if c} for vec in basis
-    ]

@@ -6,7 +6,8 @@ matrices of the smaller algebra in the basis of the larger one, so a
 the structural conditions a Fefferman-type inclusion must satisfy,
 induces curvature-type cochains along an inclusion, and verifies the
 two codifferential transfer identities and the normality-transfer
-consequences, all in exact arithmetic.
+consequences, all in exact arithmetic: the transfer checks run on
+integer multiples of the rational maps (``_IntTransfer``).
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class GradedInclusion:
 
     def _reset_caches(self):
         """Drop the data derived from img; each piece is rebuilt on first use."""
-        self._span = None
         self._induce_data = None
         self._proj_data = None
         self._transfer_data = None
@@ -133,23 +133,13 @@ class GradedInclusion:
                     return False
         return True
 
-    # -- span of the image and projection ----------------------------------
-
-    def image_solver(self) -> SpanSolver:
-        if self._span is None:
-            self._span = SpanSolver(self.img)
-        return self._span
-
-    def preimage(self, tvec):
-        """Exact phi^{-1} of a target vector in the image (ValueError else)."""
-        coeffs = self.image_solver().coords(tvec)
-        return {i: c for i, c in enumerate(coeffs) if c}
+    # -- Killing projection onto the image ---------------------------------
 
     def _projection(self):
         """Killing covectors of the image vectors and the reduced Gram columns."""
         if self._proj_data is None:
             # Killing covectors of the image vectors, and the Gram columns
-            # reduced once; coords then solves gram x = rhs on every call
+            # reduced once; coords then solves gram x = rhs
             killing = self.target.killing
             covs = []
             for gim in self.img:
@@ -165,12 +155,6 @@ class GradedInclusion:
             except ValueError:
                 raise InclusionError("projection failed: degenerate Gram (bug)") from None
         return self._proj_data
-
-    def project_to_image(self, tvec):
-        """Killing-orthogonal projection of a target vector onto phi(g)."""
-        covs, gram = self._projection()
-        x = gram.coords({i: _pair(cov, tvec) for i, cov in enumerate(covs)})
-        return self.apply({i: c for i, c in enumerate(x) if c})
 
     # -- cochain induction --------------------------------------------------
 
@@ -216,26 +200,6 @@ class GradedInclusion:
         _, _, complement = self._induction()
         return [self.source.labels[i] for i in complement]
 
-    def induce_cochain(self, kappa: Cochain) -> Cochain:
-        """Push a degree-2 cochain to the target through the projection rule."""
-        if kappa.degree != 2:
-            raise ValueError("degree-2 cochains only")
-        tminus, xi, _ = self._induction()
-        out = Cochain(self.target, 2)
-        n = len(tminus)
-        for a in range(n):
-            xa = xi[a][1]
-            if not xa:
-                continue
-            for b in range(a + 1, n):
-                xb = xi[b][1]
-                if not xb:
-                    continue
-                val = kappa.eval_vectors(xa, xb)
-                if val:
-                    out.add_term((tminus[a], tminus[b]), self.apply(val))
-        return out
-
     def _transfer(self) -> _IntTransfer:
         """The integer tables of the transfer checks, built on first use."""
         if self._transfer_data is not None:
@@ -270,21 +234,6 @@ class GradedInclusion:
         proj = {t: _scaled(vec, proj_den) for t, vec in proj.items() if vec}
         self._transfer_data = _IntTransfer(den, img, weights, xi_den, induce, proj_den, proj)
         return self._transfer_data
-
-    def recover_cochain(self, tilde: Cochain) -> Cochain:
-        """Pull back through phi: kappa(X, Y) = phi^{-1} tilde(phi_- X, phi_- Y)."""
-        src = self.source
-        out = Cochain(src, 2)
-        minus = src.minus_indices()
-        for ia, a in enumerate(minus):
-            fa = self.minus_part({a: _F1})
-            for b in minus[ia + 1:]:
-                fb = self.minus_part({b: _F1})
-                val = tilde.eval_vectors(fa, fb)
-                if val:
-                    out.add_term((a, b), self.preimage(val))
-        return out
-
 
 def _apply_ints(img, vec):
     """sum of vec[i] * img[i] over integer vectors."""
@@ -569,12 +518,6 @@ def _normal_torsionfree_solutions(qc, phi_qc_co):
     return [_solution_coeffs(cols, vec) for vec in sols], vals
 
 
-def normal_torsionfree_space(qc, phi_qc_co):
-    """Exact basis of {kappa : values in p_co ∩ g_qc, both codiff parts zero}."""
-    sols, vals = _normal_torsionfree_solutions(qc, phi_qc_co)
-    return [Cochain(qc, 2, coeffs) for coeffs in sols], vals
-
-
 def normality_transfer_check(qc, phi1, phic) -> dict:
     """Induced cochains of the exact solution space stay codifferential-closed.
 
@@ -639,23 +582,6 @@ def _holonomy_solutions(qc, cr, co, phi2, phic, with_traces):
                     rows.setdefault(tag + (m,), {})[t] = scalars[key] * w
     sols = kernel_basis(list(rows.values()), len(cols))
     return [_solution_coeffs(cols, vec) for vec in sols]
-
-
-def holonomy_sample_space(qc, cr, co, phi2, phic, with_traces=True):
-    """Exact basis of upstairs cochains modelling a reduced normal curvature.
-
-    Constraints: values in phi(g_qc); vanishing when a slot is a fiber
-    direction; closed for the upstairs codifferential; and (optionally)
-    the three quaternionic trace constraints plus the complex-trace
-    constraint of the intermediate algebra.  Each solution is the
-    induced cochain of its downstairs coefficients.
-    """
-    data = phic._transfer()
-    scale = Fraction(1, data.xi_den ** 2 * data.den)
-    return [
-        Cochain(co, 2, _induce_ints(data, coeffs)).scale(scale)
-        for coeffs in _holonomy_solutions(qc, cr, co, phi2, phic, with_traces)
-    ]
 
 
 def _entry_right_mult(alg, idx, unit):
@@ -775,9 +701,9 @@ def inverse_normality_check(qc, cr, co, phi2, phic) -> dict:
     """Downstairs codifferential closure of reduced upstairs cochains.
 
     Each holonomy solution is the induced cochain of its downstairs
-    coefficients, which recovery returns unchanged; both codifferential
-    parts are linear, so closure on a basis of the solution space proves
-    it on the whole space.
+    coefficients, so its pullback through phi is those coefficients; both
+    codifferential parts are linear, so closure on a basis of the solution
+    space proves it on the whole space.
     """
     sols = _holonomy_solutions(qc, cr, co, phi2, phic, with_traces=True)
     part1_all_zero = not any(_part1_ints(qc, coeffs) for coeffs in sols)

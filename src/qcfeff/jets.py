@@ -156,25 +156,8 @@ class Jet:
     def __rmul__(self, o):
         return self.__mul__(o)
 
-    def __truediv__(self, o):
-        if not isinstance(o, Jet):
-            return Jet(self.space, self.coef / float(o))
-        return self * o.reciprocal()
-
     def __rtruediv__(self, o):
         return self.reciprocal() * float(o)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = Jet.constant(self.space, 1.0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def _compose_series(self, series):
         """sum_m series[m] * (self - value)^m, truncated."""
@@ -213,49 +196,8 @@ class Jet:
         series = [e / math.factorial(m) for m in range(self.space.order + 1)]
         return self._compose_series(series)
 
-    def log(self):
-        x0 = self.value
-        if x0 <= 0.0:
-            raise JetDomainError("log branch point")
-        series = [math.log(x0)]
-        for m in range(1, self.space.order + 1):
-            series.append((-1.0) ** (m + 1) / (m * x0 ** m))
-        return self._compose_series(series)
-
-    def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        cyc = [s, c, -s, -c]
-        series = [cyc[m % 4] / math.factorial(m) for m in range(self.space.order + 1)]
-        return self._compose_series(series)
-
-    def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        cyc = [c, -s, -c, s]
-        series = [cyc[m % 4] / math.factorial(m) for m in range(self.space.order + 1)]
-        return self._compose_series(series)
-
-    def derivative_value(self, alpha) -> float:
-        """Value of the partial derivative d^alpha at the base point."""
-        pos = self.space.position[tuple(alpha)]
-        fac = 1.0
-        for a in alpha:
-            fac *= math.factorial(a)
-        return float(self.coef[pos] * fac)
-
 
 def jet_variables(point, order: int):
     """Seed jets (one per coordinate) for expansion around the point."""
     sp = jet_space(len(point), order)
     return [Jet.variable(sp, v, float(x)) for v, x in enumerate(point)]
-
-
-def jet_eval(f, point, order: int) -> Jet:
-    """Taylor coefficients of f at the point, to total degree ``order``.
-
-    ``f`` is a callable combining its jet arguments through arithmetic
-    and the elementary functions defined on Jet.
-    """
-    out = f(*jet_variables(point, order))
-    if not isinstance(out, Jet):
-        out = Jet.constant(jet_space(len(point), order), float(out))
-    return out

@@ -437,23 +437,3 @@ def sp1_fundamental_fields(qc: QcData):
         return VectorFieldOnChart("vert_%s" % _UNIT_NAMES[unit_idx], dim, comps)
 
     return field(1), field(2), field(3)
-
-
-def sigma_pairing_values(qc: QcData, point):
-    """sigma^s evaluated on the fundamental fields (expected identity)."""
-    from .jets import jet_variables
-
-    base_dim = qc.dim
-    xs = jet_variables(point, 1)
-    sigma = _fiber_sigma(xs, base_dim)
-    fields = sp1_fundamental_fields(qc)
-    out = np.zeros((3, 3))
-    for r, fld in enumerate(fields):
-        vals = fld.values(point)
-        for s in range(3):
-            row = np.zeros(3)
-            for rr in range(3):
-                v = sigma[s][rr]
-                row[rr] = v.value if hasattr(v, "value") else float(v)
-            out[s, r] = float(np.dot(row, vals[base_dim:]))
-    return out

@@ -1,0 +1,364 @@
+"""Rational per-cochain reference operators, the tests' oracle for the integer engine.
+
+``qcfeff.cohomology`` and ``qcfeff.inclusions`` decide every claim on
+integer tables: d and d* are assembled as block columns, and the
+transfer checks run on integer multiples of the rational maps.  The
+functions here compute the same operators one cochain at a time in
+Fraction arithmetic, straight from their formulas: the
+Chevalley-Eilenberg differential, the dual-basis codifferential
+part1 - 1/2 part2 and the Lie homology boundary on Lambda^n p_+ (x) g
+(the wedge picture), plus cochain induction and recovery along an
+inclusion.  They read an algebra only through its brackets, Killing form
+and dual basis, and never through the integer tables, so the tests
+compare the engine against a separate reference.
+
+Every function acts on ``Cochain.coeffs``: strictly increasing tuples
+of minus-basis indices mapped to zero-free value vectors.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
+
+from qcfeff.cohomology import _WEDGE_SIGN, Cochain, _insert_sorted
+from qcfeff.exact import SpanSolver, _add_scaled
+from qcfeff.inclusions import _holonomy_solutions, _normal_torsionfree_solutions, _pair
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
+
+class _Tables(NamedTuple):
+    """Rational structure tables of one algebra, from its dual basis."""
+
+    minus: list  # minus-basis indices
+    duals: list  # duals[t]: Killing dual of e_minus[t] in p+
+    pos_of: dict  # minus index -> its position t
+    br_to_minus: dict  # minus index m -> [(a, b, c)]: c = [e_a, e_b]_m, a < b
+    pair_brackets: dict  # (s, t), s < t -> {pos: B([e^s, e^t], e_minus[pos])}
+    minus_brackets: list  # minus_brackets[i]: [(t, [e_i, e^t]_-)], nonzero ones
+
+
+@lru_cache(maxsize=None)
+def _tables(alg) -> _Tables:
+    minus, duals = alg.dual_basis()
+    br_to_minus = {}
+    for ia, a in enumerate(minus):
+        for b in minus[ia + 1:]:
+            for m, c in alg.bracket_indices(a, b).items():
+                br_to_minus.setdefault(m, []).append((a, b, c))
+    pair_brackets = {}
+    for i in range(len(duals)):
+        for j in range(i + 1, len(duals)):
+            br = alg.bracket_vec(duals[i], duals[j])
+            exp = {}
+            for t, m in enumerate(minus):
+                val = alg.killing_vec(br, {m: _F1})
+                if val:
+                    exp[t] = val
+            if exp:
+                pair_brackets[(i, j)] = exp
+    minus_brackets = []
+    for i in range(alg.dim):
+        row = []
+        for t, dual in enumerate(duals):
+            br = alg.bracket_vec({i: _F1}, dual)
+            br_minus = {j: c for j, c in br.items() if alg.degrees[j] < 0}
+            if br_minus:
+                row.append((t, br_minus))
+        minus_brackets.append(row)
+    return _Tables(
+        minus,
+        duals,
+        {m: t for t, m in enumerate(minus)},
+        br_to_minus,
+        pair_brackets,
+        minus_brackets,
+    )
+
+
+# ---------------------------------------------------------------------------
+# cochain arithmetic
+# ---------------------------------------------------------------------------
+
+
+def add(phi: Cochain, psi: Cochain, r=_F1) -> Cochain:
+    """phi + r psi."""
+    out = Cochain(phi.alg, phi.degree, phi.coeffs)
+    for key, vec in psi.coeffs.items():
+        out.add_term(key, vec, _F0 + r)
+    return out
+
+
+def scale(phi: Cochain, r) -> Cochain:
+    return add(Cochain(phi.alg, phi.degree), phi, r)
+
+
+def equal(phi: Cochain, psi: Cochain) -> bool:
+    """Equality of two cochains of one algebra; their coefficients are zero-free."""
+    return phi.alg is psi.alg and phi.degree == psi.degree and phi.coeffs == psi.coeffs
+
+
+def _perm_sign(order):
+    sign = 1
+    seen = [False] * len(order)
+    for i in range(len(order)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = order[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def value_at(phi: Cochain, key):
+    """Value on a possibly unsorted index tuple (antisymmetric lookup)."""
+    if len(set(key)) != len(key):
+        return {}
+    order = sorted(range(len(key)), key=lambda t: key[t])
+    vec = phi.coeffs.get(tuple(key[t] for t in order))
+    if not vec:
+        return {}
+    return vec if _perm_sign(order) == 1 else {m: -c for m, c in vec.items()}
+
+
+def eval_vectors(phi: Cochain, *args):
+    """Multilinear evaluation on coefficient dicts over the basis."""
+    out = {}
+    items = [list(a.items()) for a in args]
+
+    def rec(pos, idx, coef):
+        if pos == len(items):
+            _add_scaled(out, value_at(phi, tuple(idx)), coef)
+            return
+        for i, a in items[pos]:
+            rec(pos + 1, idx + [i], coef * a)
+
+    rec(0, [], _F1)
+    return out
+
+
+def homogeneity_split(phi: Cochain):
+    """Decomposition by grading weight; keys are the weights l."""
+    alg = phi.alg
+    parts = {}
+    for key, vec in phi.coeffs.items():
+        base = sum(alg.degrees[i] for i in key)
+        for m, c in vec.items():
+            part = parts.setdefault(alg.degrees[m] - base, Cochain(alg, phi.degree))
+            part.add_term(key, {m: c})
+    return parts
+
+
+# ---------------------------------------------------------------------------
+# the differential and both codifferentials
+# ---------------------------------------------------------------------------
+
+
+def differential(phi: Cochain) -> Cochain:
+    """Chevalley-Eilenberg differential C^n -> C^(n+1)."""
+    alg = phi.alg
+    out = Cochain(alg, phi.degree + 1)
+    tables = _tables(alg)
+    for key, vec in phi.coeffs.items():
+        # first sum: (-1)^i [X_i, phi(rest)]
+        for x in tables.minus:
+            ins = _insert_sorted(key, x)
+            if ins is None:
+                continue
+            pos, tkey = ins
+            bracket = alg.bracket_vec({x: _F1}, vec)
+            if bracket:
+                out.add_term(tkey, bracket, _F1 * ((-1) ** pos))
+        # second sum: (-1)^(i+j) phi([X_i, X_j], rest)
+        for t, mm in enumerate(key):
+            rest = key[:t] + key[t + 1:]
+            sign_front = (-1) ** t
+            for a, b, c in tables.br_to_minus.get(mm, ()):
+                if a in rest or b in rest:
+                    continue
+                _, t1 = _insert_sorted(rest, a)
+                _, tkey = _insert_sorted(t1, b)
+                i = tkey.index(a)
+                j = tkey.index(b)
+                out.add_term(tkey, vec, c * ((-1) ** (i + j)) * sign_front)
+    return out
+
+
+def part1(phi: Cochain) -> Cochain:
+    """First part of the dual-basis codifferential on C^2.
+
+    Its value at e_a is the sum over b of [phi(e_a, e_b), e^b].
+    """
+    alg = phi.alg
+    tables = _tables(alg)
+    duals, pos_of = tables.duals, tables.pos_of
+    out = Cochain(alg, 1)
+    for (a, b), vec in phi.coeffs.items():
+        # X = e_a with alpha = b, and X = e_b with alpha = a (antisymmetry)
+        out.add_term((a,), alg.bracket_vec(vec, duals[pos_of[b]]))
+        out.add_term((b,), alg.bracket_vec(vec, duals[pos_of[a]]), -_F1)
+    return out
+
+
+def codiff_part2_at(phi: Cochain, yvec):
+    """Sum over alpha of phi([Y, e^alpha]_-, e_alpha) for an element Y."""
+    tables = _tables(phi.alg)
+    # [Y, e^t]_- for every t, by linearity in Y from the [e_i, e^t]_- table
+    brackets = {}
+    for i, y in yvec.items():
+        for t, br in tables.minus_brackets[i]:
+            _add_scaled(brackets.setdefault(t, {}), br, y)
+    out = {}
+    for t, br_minus in sorted(brackets.items()):
+        if br_minus:
+            _add_scaled(out, eval_vectors(phi, br_minus, {tables.minus[t]: _F1}))
+    return out
+
+
+def codifferential_minus(phi: Cochain):
+    """Both parts of the dual-basis codifferential on C^2.
+
+    Returns (part1, part2) as degree-1 cochains; the codifferential is
+    part1 - 1/2 part2.
+    """
+    if phi.degree != 2:
+        raise ValueError("codifferential_minus expects a degree-2 cochain")
+    part2 = Cochain(phi.alg, 1)
+    for m in _tables(phi.alg).minus:
+        vec = codiff_part2_at(phi, {m: _F1})
+        if vec:
+            part2.add_term((m,), vec)
+    return part1(phi), part2
+
+
+def codifferential(phi: Cochain) -> Cochain:
+    """Total codifferential part1 - 1/2 part2 on C^2."""
+    p1, p2 = codifferential_minus(phi)
+    return add(p1, p2, Fraction(-1, 2))
+
+
+def _wedge_boundary(alg, coeffs):
+    """Lie homology boundary on Lambda^n p_+ (x) g in dual-basis coords.
+
+    ``coeffs``: {increasing minus-position tuple: value vector}; returns
+    the same structure one degree lower.
+    """
+    tables = _tables(alg)
+    duals, pair_brackets = tables.duals, tables.pair_brackets
+    out = {}
+
+    def add_to(key, vec, scl):
+        tgt = out.setdefault(key, {})
+        _add_scaled(tgt, vec, scl)
+        if not tgt:
+            del out[key]
+
+    for key, vec in coeffs.items():
+        for t, zi in enumerate(key):
+            rest = key[:t] + key[t + 1:]
+            # (-1)^i Z_1 ... ^ ... Z_k (x) [Z_i, A]   (0-based: (-1)^t matches
+            # the alternating boundary with the k=2 display)
+            bracket = alg.bracket_vec(duals[zi], vec)
+            if bracket:
+                add_to(rest, bracket, -_F1 * ((-1) ** t))
+        for t in range(len(key)):
+            for u in range(t + 1, len(key)):
+                exp = pair_brackets.get((min(key[t], key[u]), max(key[t], key[u])))
+                if not exp:
+                    continue
+                flip = 1 if key[t] < key[u] else -1
+                rest = tuple(x for s, x in enumerate(key) if s != t and s != u)
+                for pos, c in exp.items():
+                    ins = _insert_sorted(rest, pos)
+                    if ins is None:
+                        continue
+                    ppos, tkey = ins
+                    add_to(tkey, vec, c * flip * ((-1) ** (t + u)) * ((-1) ** ppos))
+    return out
+
+
+def codifferential_wedge(phi: Cochain) -> Cochain:
+    """Codifferential via the wedge picture, degrees 1..3."""
+    n = phi.degree
+    if n not in (1, 2, 3):
+        raise ValueError("wedge codifferential defined for degrees 1..3")
+    tables = _tables(phi.alg)
+    sign_in = _WEDGE_SIGN[n]
+    coeffs = {
+        tuple(tables.pos_of[i] for i in key): {m: sign_in * c for m, c in vec.items()}
+        for key, vec in phi.coeffs.items()
+    }
+    out = Cochain(phi.alg, n - 1)
+    sign_out = _F1 * _WEDGE_SIGN.get(n - 1, 1)
+    for key, vec in _wedge_boundary(phi.alg, coeffs).items():
+        out.add_term(tuple(tables.minus[t] for t in key), vec, sign_out)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# induction and recovery along an inclusion
+# ---------------------------------------------------------------------------
+
+
+def induce_cochain(phi, kappa: Cochain) -> Cochain:
+    """Push a degree-2 cochain to the target through the projection rule."""
+    if kappa.degree != 2:
+        raise ValueError("degree-2 cochains only")
+    tminus, xi, _ = phi._induction()
+    out = Cochain(phi.target, 2)
+    for a in range(len(tminus)):
+        xa = xi[a][1]
+        if not xa:
+            continue
+        for b in range(a + 1, len(tminus)):
+            xb = xi[b][1]
+            if not xb:
+                continue
+            val = eval_vectors(kappa, xa, xb)
+            if val:
+                out.add_term((tminus[a], tminus[b]), phi.apply(val))
+    return out
+
+
+def recover_cochain(phi, tilde: Cochain) -> Cochain:
+    """Pull back through phi: kappa(X, Y) = phi^{-1} tilde(phi_- X, phi_- Y)."""
+    src = phi.source
+    image = SpanSolver(phi.img)  # exact coordinates over the phi(e_i)
+    out = Cochain(src, 2)
+    minus = src.minus_indices()
+    for ia, a in enumerate(minus):
+        fa = phi.minus_part({a: _F1})
+        for b in minus[ia + 1:]:
+            val = eval_vectors(tilde, fa, phi.minus_part({b: _F1}))
+            if val:
+                out.add_term((a, b), dict(enumerate(image.coords(val))))
+    return out
+
+
+def project_to_image(phi, tvec):
+    """Killing-orthogonal projection of a target vector onto phi(g)."""
+    covs, gram = phi._projection()
+    x = gram.coords({i: _pair(cov, tvec) for i, cov in enumerate(covs)})
+    return phi.apply({i: c for i, c in enumerate(x) if c})
+
+
+def normal_torsionfree_space(qc, phi_qc_co):
+    """Exact basis of {kappa : values in p_co ∩ g_qc, both codiff parts zero}, as cochains."""
+    sols, vals = _normal_torsionfree_solutions(qc, phi_qc_co)
+    return [Cochain(qc, 2, coeffs) for coeffs in sols], vals
+
+
+def holonomy_sample_space(qc, cr, co, phi2, phic, with_traces=True):
+    """The upstairs holonomy solutions: the induced cochains of the downstairs ones."""
+    return [
+        induce_cochain(phic, Cochain(qc, 2, coeffs))
+        for coeffs in _holonomy_solutions(qc, cr, co, phi2, phic, with_traces)
+    ]

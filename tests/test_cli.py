@@ -85,6 +85,10 @@ def test_argparse_errors_are_usage_errors(tmp_path, capsys):
         ("model", "--metric", "foo"),
         ("cohomology", "--n", "x"),
         ("model", "--tolerance", "weyl_flat=small"),
+        ("model", "--n", "1", "--samples", "2", "--tolerance", "weyl_flat=inf"),
+        ("model", "--n", "1", "--samples", "2", "--tolerance", "weyl_flat=nan"),
+        ("model", "--n", "1", "--samples", "2", "--tolerance", "weyl_flat=0"),
+        ("model", "--n", "1", "--samples", "2", "--tolerance", "weyl_flat=-1e-8"),
         (),
     ):
         code, text = _run(tmp_path, *args)

@@ -4,16 +4,32 @@ from fractions import Fraction
 
 import pytest
 
+from qcfeff.exact import kernel_basis
 from qcfeff.gradedlie import (
     ClosureError,
     SingularPairingError,
-    build_co,
-    build_cr,
     build_qc,
-    centralizer_in_degree,
 )
 
 F1 = Fraction(1)
+
+
+def centralizer_in_degree(alg, degree, subspace):
+    """Exact basis of {X in g_degree : [Z, X] = 0 for all Z in subspace}.
+
+    ``subspace`` is a list of coefficient dicts over the basis of alg.
+    Returns a list of coefficient dicts supported in the degree block.
+    """
+    idxs = alg.by_degree.get(degree, [])
+    rows = []
+    for z in subspace:
+        cols = {}
+        for t, i in enumerate(idxs):
+            for l, c in alg.bracket_vec(z, {i: F1}).items():
+                cols.setdefault(l, {})[t] = c
+        rows.extend(cols.values())
+    basis = kernel_basis(rows, len(idxs))
+    return [{idxs[t]: c for t, c in enumerate(vec) if c} for vec in basis]
 
 
 def test_qc_dimensions(chain1):
@@ -183,8 +199,6 @@ def test_centralizer_of_gminus2_in_g0(inclusions1):
     sub = [{i: F1} for i in qc.by_degree[-2]]
     cent = centralizer_in_degree(qc, 0, sub)
     assert len(cent) == n * (2 * n + 1)
-    from qcfeff.exact import kernel_basis
-
     zero_idx = qc.by_degree[0]
     rows = {}
     for col, i in enumerate(zero_idx):

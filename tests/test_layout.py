@@ -1,0 +1,77 @@
+"""Structural checks of the source tree: no unreferenced code, an independent oracle."""
+
+import ast
+from pathlib import Path
+
+import qcfeff
+
+SRC = Path(qcfeff.__file__).parent
+ORACLE = Path(__file__).with_name("oracle.py")
+
+# argparse calls this hook itself; nothing in the package names it
+_CALLED_FROM_OUTSIDE = {("cli.py", "_Parser.error")}
+
+# the integer machinery that the oracle is a separate reference for
+_INTEGER_MACHINERY = {
+    "ints",
+    "_part1_ints",
+    "_part2_ints",
+    "_part2_ints_at",
+    "_codifferential_ints",
+    "_induce_ints",
+    "_transfer",
+}
+
+
+def _definitions(tree, prefix=""):
+    """(qualified name, name) of every function and method, nested ones included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _definitions(node, prefix + node.name + ".")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node.name
+            yield from _definitions(node, prefix + node.name + ".<locals>.")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def _referenced_names(tree):
+    """Every identifier read as a name or an attribute, plus imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_every_function_in_src_is_referenced():
+    """A function or method that nothing in the package names is dead code.
+
+    Re-exports in ``__init__`` do not count as uses, and dunder methods
+    are called by the language, not by name.
+    """
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    unreferenced = [
+        "%s:%s" % (module, qual)
+        for module, tree in trees.items()
+        for qual, name in _definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in used
+        and (module, qual) not in _CALLED_FROM_OUTSIDE
+    ]
+    assert unreferenced == []
+
+
+def test_oracle_reads_no_integer_machinery():
+    """The rational oracle stays a separate reference for the integer engine."""
+    read = _referenced_names(ast.parse(ORACLE.read_text()))
+    assert sorted(read & _INTEGER_MACHINERY) == []

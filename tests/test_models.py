@@ -3,6 +3,7 @@ import pytest
 
 from qcfeff import charts as ch
 from qcfeff import models as mo
+from qcfeff.jets import jet_variables
 
 
 def test_quadric_fields_lightlike_orthogonal(quadric1):
@@ -19,10 +20,9 @@ def test_quadric_fields_lightlike_orthogonal(quadric1):
 def test_quadric_fields_killing(quadric1):
     chart, k1, k2, k3 = quadric1
     for pt in chart.sample_points(3, seed=2):
-        for k in (k1, k2, k3):
-            res, lam = ch.conformal_killing_residual(chart, k, pt)
-            assert res < 1e-9
-            assert abs(lam) < 1e-12
+        for td in ch._tractors_at(chart, (k1, k2, k3), pt):
+            assert td.killing_residual < 1e-9
+            assert abs(td.lam) < 1e-12
 
 
 def test_quadric_conformally_flat(quadric1):
@@ -65,7 +65,7 @@ def test_quadric_sparling_package(quadric1):
 def test_quadric_insertions_vanish(quadric1):
     chart, k1, _, _ = quadric1
     pt = chart.sample_points(1, 6)[0]
-    rep = ch.trace_contraction_check(chart, k1, pt)
+    rep = ch.trace_contractions(*ch._tractors_at(chart, (k1,), pt))
     assert rep["weyl_trace"] < 1e-10
     assert rep["cotton_trace"] < 1e-10
     assert rep["k_into_weyl"] < 1e-8
@@ -169,13 +169,25 @@ def test_vertical_fields(heisenberg1):
             # vertical: no base components
             assert np.max(np.abs(v[: heisenberg1.dim])) == 0.0
             assert abs(float(v @ g @ v)) < 1e-12
-            res, _ = ch.conformal_killing_residual(fm, fld, pt)
-            assert res < 1e-8
+            assert ch._tractors_at(fm, (fld,), pt)[0].killing_residual < 1e-8
+
+
+def _sigma_pairing_values(qc, point):
+    """sigma^s evaluated on the fundamental fields (expected identity)."""
+    base_dim = qc.dim
+    sigma = mo._fiber_sigma(jet_variables(point, 1), base_dim)
+    out = np.zeros((3, 3))
+    for r, fld in enumerate(mo.sp1_fundamental_fields(qc)):
+        vals = fld.values(point)
+        for s in range(3):
+            row = np.array([sigma[s][rr].value for rr in range(3)])
+            out[s, r] = float(np.dot(row, vals[base_dim:]))
+    return out
 
 
 def test_sigma_pairing_identity_at_fiber_identity(heisenberg1):
     pt = np.concatenate([heisenberg1.sample_points(1, seed=8)[0], [0.0, 0.0, 0.0]])
-    vals = mo.sigma_pairing_values(heisenberg1, pt)
+    vals = _sigma_pairing_values(heisenberg1, pt)
     assert np.max(np.abs(vals - np.eye(3))) < 1e-12
 
 

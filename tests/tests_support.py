@@ -44,7 +44,7 @@ def witt_display_checks(qc, cr, phi1) -> bool:
         }
         for a in range(m):
             for b in range(m):
-                if img.at(a, b) != expect.get((a, b), Quaternion()):
+                if img.entries.get((a, b), Quaternion()) != expect.get((a, b), Quaternion()):
                     ok = False
     for _ in range(10):
         a = Quaternion(0, rng.randint(-4, 4))
@@ -64,6 +64,6 @@ def witt_display_checks(qc, cr, phi1) -> bool:
         }
         for r in range(m):
             for c in range(m):
-                if img.at(r, c) != expect.get((r, c), Quaternion()):
+                if img.entries.get((r, c), Quaternion()) != expect.get((r, c), Quaternion()):
                     ok = False
     return ok
