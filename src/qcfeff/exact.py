@@ -1,6 +1,7 @@
 """Exact scalar and matrix arithmetic over arbitrary-precision rationals.
 
-Scalars are quaternions with Fraction components; complex and rational
+Scalars are quaternions with int or Fraction components (an int stays
+an int, so integer data never enters Fraction arithmetic); complex and rational
 values are quaternions whose upper components vanish.  Matrices carry a
 ``kind`` tag ("rational" | "complex" | "quaternion") restricting which
 components their entries may use, so the realification maps can dispatch
@@ -14,6 +15,7 @@ over C as U + jV with U = a+bi, V = c-di.
 from __future__ import annotations
 
 from fractions import Fraction
+from bisect import insort
 from math import gcd
 
 try:
@@ -27,10 +29,20 @@ _F1 = Fraction(1)
 KINDS = ("rational", "complex", "quaternion")
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def _exact(x):
+    """An int or a Fraction as it is, anything else as a Fraction."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _div(a, b):
+    """Exact a / b: a Fraction, or an int when both are ints and b divides a.
+
+    ``/`` alone would give a float for two ints.
+    """
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 def _add_scaled(acc, vec, scale=_F1):
@@ -49,16 +61,28 @@ def _add_scaled(acc, vec, scale=_F1):
             acc.pop(k, None)
 
 
+def quat_product(p, q):
+    """Components of the quaternion product of two component 4-tuples."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
 class Quaternion:
-    """Exact quaternion a + b*i + c*j + d*k over Fraction components."""
+    """Exact quaternion a + b*i + c*j + d*k over int or Fraction components."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = _frac(a)
-        self.b = _frac(b)
-        self.c = _frac(c)
-        self.d = _frac(d)
+        self.a = _exact(a)
+        self.b = _exact(b)
+        self.c = _exact(c)
+        self.d = _exact(d)
 
     @property
     def comps(self):
@@ -76,29 +100,14 @@ class Quaternion:
         return Quaternion(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, o):
-        o = as_quat(o)
-        a1, b1, c1, d1 = self.comps
-        a2, b2, c2, d2 = o.comps
-        return Quaternion(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
-
-    def __rmul__(self, o):
-        return as_quat(o) * self
+        return Quaternion(*quat_product(self.comps, as_quat(o).comps))
 
     __radd__ = __add__
-
-    def __rsub__(self, o):
-        return as_quat(o) - self
 
     def conj(self) -> "Quaternion":
         return Quaternion(self.a, -self.b, -self.c, -self.d)
 
     def scale(self, r) -> "Quaternion":
-        r = _frac(r)
         return Quaternion(self.a * r, self.b * r, self.c * r, self.d * r)
 
     def is_zero(self) -> bool:
@@ -112,12 +121,6 @@ class Quaternion:
         if not isinstance(o, Quaternion):
             o = as_quat(o)
         return self.comps == o.comps
-
-    def __hash__(self):
-        return hash(self.comps)
-
-    def __repr__(self):
-        return "Quaternion(%s, %s, %s, %s)" % self.comps
 
 
 def as_quat(x) -> Quaternion:
@@ -206,9 +209,6 @@ class ExactMatrix:
                     acc[key] = prod
         return ExactMatrix(self.rows, o.cols, acc, self._join_kind(o))
 
-    def commutator(self, o):
-        return self * o - o * self
-
     def transpose(self):
         return ExactMatrix(
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}, self.kind
@@ -237,20 +237,12 @@ class ExactMatrix:
             and (self - o).is_zero()
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
-
     def _check_shape(self, o):
         if self.rows != o.rows or self.cols != o.cols:
             raise ValueError("shape mismatch")
 
     def _join_kind(self, o):
         return self.kind if KINDS.index(self.kind) >= KINDS.index(o.kind) else o.kind
-
-    def __repr__(self):
-        return "ExactMatrix(%dx%d, %s, %d nonzero)" % (
-            self.rows, self.cols, self.kind, len(self.entries)
-        )
 
 
 def realify_H(m: ExactMatrix) -> ExactMatrix:
@@ -306,7 +298,7 @@ def _int_row(row, ncols):
     if all(isinstance(v, int) for _, v in items):
         ints = dict(items)
     else:
-        items = [(j, _frac(v)) for j, v in items]
+        items = [(j, _exact(v)) for j, v in items]
         lcm = 1
         for _, v in items:
             lcm = lcm * v.denominator // gcd(lcm, v.denominator)
@@ -322,9 +314,18 @@ def _bareiss_echelon(m, ncols):
 
     Rows are mutated in place.  Pivot selection prefers sparse rows to
     limit fill-in; the Bareiss recurrence keeps all entries integral.
+    The recurrence is applied lazily: a row with a zero in the pivot
+    column would only be rescaled by the ratio of consecutive pivots, so
+    it is left as it is, and ``level[i]`` records after how many pivot
+    steps its stored values were last brought up to date (its values
+    then are the stored ones times pivots[now] / pivots[level[i]]).  An
+    eliminated row divides by pivots[level[i]], and a pivot row is brought
+    up to date before use, so every division is exact and the echelon
+    rows are the integers of the eager recurrence.
     """
     nr = len(m)
-    prev = mpz(1)
+    pivots = [mpz(1)]  # pivots[s]: the pivot of step s, 1 before the first
+    level = [0] * nr
     r = 0
     piv_cols = []
     for c in range(ncols):
@@ -345,20 +346,25 @@ def _bareiss_echelon(m, ncols):
             continue
         if best != r:
             m[r], m[best] = m[best], m[r]
-        p = m[r][c]
+            level[r], level[best] = level[best], level[r]
+        now = len(pivots) - 1
+        mr = m[r]
+        if level[r] != now:
+            up, down = pivots[now], pivots[level[r]]
+            for j in range(c, ncols):
+                if mr[j]:
+                    mr[j] = (up * mr[j]) // down
+        p = mr[c]
         for i in range(r + 1, nr):
             mi = m[i]
             f = mi[c]
-            mr = m[r]
             if f:
+                down = pivots[level[i]]
                 for j in range(c + 1, ncols):
-                    mi[j] = (p * mi[j] - f * mr[j]) // prev
+                    mi[j] = (p * mi[j] - f * mr[j]) // down
                 mi[c] = mpz(0)
-            elif prev != 1 or p != 1:
-                for j in range(c + 1, ncols):
-                    if mi[j]:
-                        mi[j] = (p * mi[j]) // prev
-        prev = p
+                level[i] = now + 1
+        pivots.append(p)
         piv_cols.append(c)
         r += 1
     return piv_cols, m[:r]
@@ -495,43 +501,61 @@ class SpanSolver:
 
     Vectors are sparse dicts over arbitrary hashable coordinate keys.
     Reduction data is prepared once; ``coords`` then answers membership
-    queries with exact coefficients (or raises ValueError).
+    queries with exact coefficients (or raises ValueError).  Integer
+    data stays integer wherever the reduction divides exactly.
     """
 
     def __init__(self, generators):
         self.n = 0
-        self.pivots = []  # (key, reduced_row, coeff_vector)
+        self.pivots = []  # (key, reduced_row, coeff_vector), in insertion order
+        self._position = {}  # pivot key -> its index in self.pivots
         for gen in generators:
             if not self.append(gen):
                 raise ValueError("generators are linearly dependent")
 
     def append(self, gen) -> bool:
         """Add a generator; False when it is dependent on the current span."""
-        idx = self.n
-        row = {k: _frac(v) for k, v in gen.items() if v != 0}
-        coeff = {idx: _F1}
+        row = {k: v for k, v in gen.items() if v != 0}
+        coeff = {self.n: 1}
         row, coeff = self._reduce(row, coeff)
-        self.n += 1
         if not row:
-            self.n -= 1
             return False
+        self.n += 1
         key = min(row)
         pv = row[key]
-        row = {k: v / pv for k, v in row.items()}
-        coeff = {k: v / pv for k, v in coeff.items()}
+        row = {k: _div(v, pv) for k, v in row.items()}
+        coeff = {k: _div(v, pv) for k, v in coeff.items()}
+        self._position[key] = len(self.pivots)
         self.pivots.append((key, row, coeff))
         return True
 
     def _reduce(self, row, coeff):
-        for key, prow, pcoeff in self.pivots:
+        """Eliminate the pivot keys of row, pivot by pivot in insertion order.
+
+        A pivot row holds no key of an earlier pivot, so eliminating pivot
+        t only brings in keys of later pivots: a sorted list of the pending
+        pivot positions visits exactly the pivots a scan of all of them
+        would act on, in the same order.
+        """
+        position = self._position
+        pending = sorted(position[k] for k in row if k in position)
+        queued = set(pending)
+        while pending:
+            t = pending.pop(0)
+            key, prow, pcoeff = self.pivots[t]
             v = row.get(key)
             if v:
                 _add_scaled(row, prow, -v)
                 _add_scaled(coeff, pcoeff, -v)
+                for k in prow:
+                    s = position.get(k)
+                    if s is not None and s not in queued:
+                        queued.add(s)
+                        insort(pending, s)
         return row, coeff
 
     def coords(self, vec):
-        row = {k: _frac(v) for k, v in vec.items() if v != 0}
+        row = {k: v for k, v in vec.items() if v != 0}
         coeff = {}
         row, coeff = self._reduce(row, coeff)
         if row:

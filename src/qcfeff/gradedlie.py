@@ -11,8 +11,11 @@ diag(1, 0, ..., 0, -1).
 
 Basis matrices are chosen with entries among the scalar units, ordered
 by ascending degree and then by a fixed enumeration of entry positions,
-so structure constants are reproducible.  The Killing form is computed
-intrinsically as trace(ad . ad) on the abstract basis.
+so structure constants are reproducible.  Brackets are multiplied out in
+integers from the matrix units (E_ab E_cd = delta_bc E_ad times the
+quaternion product of the entries).  The Killing form is computed
+intrinsically as trace(ad . ad) on the abstract basis, on the pairs of
+opposite degree: every other pair pairs to 0 by the grading.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .exact import (
     Q_UNITS,
     SpanSolver,
     _add_scaled,
+    quat_product,
     realify_C,
     realify_H,
 )
@@ -176,13 +180,30 @@ def _check_member(kind, m, q, mat: ExactMatrix):
 
 
 def matrix_to_coordvec(mat: ExactMatrix):
-    """Flatten to {(row, col, component): Fraction} over nonzero entries."""
+    """Flatten to {(row, col, component): value} over nonzero entries."""
     out = {}
     for (i, j), v in mat.entries.items():
         for c, comp in enumerate(v.comps):
             if comp:
                 out[(i, j, c)] = comp
     return out
+
+
+def _commutator_vec(x, y):
+    """[X, Y] as {(row, col, component): value}, zero-free.
+
+    X and Y are lists of matrix-unit terms (row, col, components); the
+    product of two terms is E_ab E_cd = delta_bc E_ad times the
+    quaternion product of their entries.
+    """
+    acc = {}
+    for sign, left, right in ((1, x, y), (-1, y, x)):
+        for a, b, p in left:
+            for c, d, q in right:
+                if b == c:
+                    term = {(a, d, t): v for t, v in enumerate(quat_product(p, q))}
+                    _add_scaled(acc, term, sign)
+    return acc
 
 
 class GradedLieAlgebra:
@@ -219,29 +240,39 @@ class GradedLieAlgebra:
 
     # -- construction ---------------------------------------------------
 
-    def _coords_in_degree(self, mat: ExactMatrix, deg):
-        vec = matrix_to_coordvec(mat)
+    def _coords_in_degree(self, vec, deg):
+        """Coordinates of a {(row, col, comp): value} vector in the degree deg block.
+
+        Whole-number coefficients come back as int.
+        """
         if not vec:
             return {}
         idxs = self.by_degree.get(deg)
         if idxs is None:
             raise ClosureError("bracket landed in missing degree %d" % deg)
         coeffs = self._solvers[deg].coords(vec)
-        return {idxs[t]: c for t, c in enumerate(coeffs) if c}
+        return {
+            idxs[t]: c.numerator if c.denominator == 1 else c
+            for t, c in enumerate(coeffs)
+            if c
+        }
 
     def _build_brackets(self):
+        units = [
+            [(a, b, q.comps) for (a, b), q in mat.entries.items()] for mat in self.native
+        ]
         table = {}
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
                 deg = self.degrees[i] + self.degrees[j]
-                mat = self.native[i].commutator(self.native[j])
-                if mat.is_zero():
+                vec = _commutator_vec(units[i], units[j])
+                if not vec:
                     continue
                 if abs(deg) > self.k:
                     raise ClosureError("degree additivity violated")
                 try:
-                    coeffs = self._coords_in_degree(mat, deg)
+                    coeffs = self._coords_in_degree(vec, deg)
                 except ValueError as exc:
                     raise ClosureError("bracket closure failed") from exc
                 table[(i, j)] = coeffs
@@ -260,10 +291,12 @@ class GradedLieAlgebra:
             ad.append(rows)
         gram = [[_F0] * n for _ in range(n)]
         for i in range(n):
-            for j in range(i, n):
-                s = _F0
+            for j in self.by_degree.get(-self.degrees[i], ()):
+                if j < i:
+                    continue
+                s = 0
+                adj = ad[j]
                 for mdx, row in ad[i].items():
-                    adj = ad[j]
                     for l, c in row.items():
                         other = adj.get(l)
                         if other:
@@ -277,7 +310,9 @@ class GradedLieAlgebra:
     def _find_grading_element(self):
         ent = {(0, 0): Quaternion(1), (self.m - 1, self.m - 1): Quaternion(-1)}
         try:
-            elem = self._coords_in_degree(ExactMatrix(self.m, self.m, ent, self.kind), 0)
+            elem = self._coords_in_degree(
+                matrix_to_coordvec(ExactMatrix(self.m, self.m, ent, self.kind)), 0
+            )
         except ValueError as exc:
             raise ClosureError("grading element outside g_0") from exc
         for j, deg in enumerate(self.degrees):

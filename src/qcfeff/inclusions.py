@@ -28,7 +28,7 @@ from .cohomology import (
     _tables,
     random_cochain,
 )
-from .exact import ExactMatrix, SpanSolver, _add_scaled, kernel_basis
+from .exact import ExactMatrix, SpanSolver, _add_scaled, _div, kernel_basis
 from .gradedlie import GradedLieAlgebra, matrix_to_coordvec
 
 _F0 = Fraction(0)
@@ -59,7 +59,11 @@ class _IntTransfer(NamedTuple):
 class GradedInclusion:
     """Exact Lie algebra inclusion with Killing compatibility constant."""
 
-    def __init__(self, source: GradedLieAlgebra, target: GradedLieAlgebra, img=None):
+    def __init__(
+        self, source: GradedLieAlgebra, target: GradedLieAlgebra, img=None, killing_constant=None
+    ):
+        """img defaults to the coordinates of the shared ambient matrices;
+        killing_constant, when given, is taken as it is instead of solved for."""
         self.source = source
         self.target = target
         if img is None:
@@ -69,11 +73,10 @@ class GradedInclusion:
                 coeffs = solver.coords(matrix_to_coordvec(m))
                 img.append({t: c for t, c in enumerate(coeffs) if c})
         self.img = img
-        self.killing_constant = self._solve_killing_constant()
-        self._reset_caches()
-
-    def _reset_caches(self):
-        """Drop the data derived from img; each piece is rebuilt on first use."""
+        if killing_constant is None:
+            killing_constant = self._solve_killing_constant()
+        self.killing_constant = killing_constant
+        # data derived from img, each piece built on first use
         self._induce_data = None
         self._proj_data = None
         self._transfer_data = None
@@ -115,7 +118,7 @@ class GradedInclusion:
                     continue
                 if rhs == 0:
                     raise InclusionError("no Killing constant fits (zero target)")
-                ratio = lhs / rhs
+                ratio = _div(lhs, rhs)
                 if c is None:
                     c = ratio
                 elif c != ratio:
@@ -627,7 +630,7 @@ def corner_trace_constant(alg, unit="i"):
         sgn, idx = r
         if len(row) != 1 or idx not in row:
             return None
-        ratio = row[idx] / sgn
+        ratio = _div(row[idx], sgn)
         if c is None:
             c = ratio
         elif c != ratio:
@@ -842,7 +845,7 @@ def scaling_compat_check(phi: GradedInclusion, wrong_element=False) -> dict:
         if rhs == 0:
             consistent = False
             break
-        ratio = lhs / rhs
+        ratio = _div(lhs, rhs)
         if const is None:
             const = ratio
         elif const != ratio:
@@ -862,10 +865,4 @@ def degree_shuffled_inclusion(phi: GradedInclusion) -> GradedInclusion:
     img = [dict(phi.img[i]) for i in range(src.dim)]
     for a, b in zip(src.by_degree[-1], src.by_degree[1]):
         img[a], img[b] = img[b], img[a]
-    flipped = GradedInclusion.__new__(GradedInclusion)
-    flipped.source = src
-    flipped.target = phi.target
-    flipped.img = img
-    flipped.killing_constant = phi.killing_constant
-    flipped._reset_caches()
-    return flipped
+    return GradedInclusion(src, phi.target, img, killing_constant=phi.killing_constant)

@@ -156,9 +156,6 @@ class Jet:
     def __rmul__(self, o):
         return self.__mul__(o)
 
-    def __rtruediv__(self, o):
-        return self.reciprocal() * float(o)
-
     def _compose_series(self, series):
         """sum_m series[m] * (self - value)^m, truncated."""
         sp = self.space

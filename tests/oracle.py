@@ -8,7 +8,8 @@ Fraction arithmetic, straight from their formulas: the
 Chevalley-Eilenberg differential, the dual-basis codifferential
 part1 - 1/2 part2 and the Lie homology boundary on Lambda^n p_+ (x) g
 (the wedge picture), plus cochain induction and recovery along an
-inclusion.  They read an algebra only through its brackets, Killing form
+inclusion, and the Killing form summed over every pair of basis
+elements.  They read an algebra only through its brackets, Killing form
 and dual basis, and never through the integer tables, so the tests
 compare the engine against a separate reference.
 
@@ -77,6 +78,28 @@ def _tables(alg) -> _Tables:
         pair_brackets,
         minus_brackets,
     )
+
+
+# ---------------------------------------------------------------------------
+# Killing form
+# ---------------------------------------------------------------------------
+
+
+def killing_form(alg):
+    """Gram matrix of trace(ad_i . ad_j) over every pair, degrees not consulted."""
+    n = alg.dim
+    ad = [{j: alg.bracket_indices(i, j) for j in range(n)} for i in range(n)]
+    gram = [[_F0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s = _F0
+            for mdx, row in ad[i].items():
+                for l, c in row.items():
+                    back = ad[j].get(l, {}).get(mdx)
+                    if back:
+                        s += c * back
+            gram[i][j] = gram[j][i] = s
+    return gram
 
 
 # ---------------------------------------------------------------------------

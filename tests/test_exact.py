@@ -38,6 +38,10 @@ def _identity(n, kind="rational"):
     return ExactMatrix(n, n, {(i, i): 1 for i in range(n)}, kind)
 
 
+def _commutator(a, b):
+    return a * b - b * a
+
+
 @given(quats, quats)
 @settings(max_examples=60, deadline=None)
 def test_norm_multiplicative(x, y):
@@ -140,8 +144,8 @@ def test_realified_commutators():
     for _ in range(20):
         a = _random_matrix(rng, 3, 3)
         b = _random_matrix(rng, 3, 3)
-        lhs = realify_C(realify_H(a.commutator(b)))
-        rhs = realify_C(realify_H(a)).commutator(realify_C(realify_H(b)))
+        lhs = realify_C(realify_H(_commutator(a, b)))
+        rhs = _commutator(realify_C(realify_H(a)), realify_C(realify_H(b)))
         assert lhs == rhs
 
 
@@ -265,6 +269,151 @@ def test_span_solver():
         SpanSolver([{0: 1, 1: 1}, {0: 2, 1: 2}])
     with pytest.raises(ValueError, match="not in span"):
         SpanSolver([{0: 1, 1: 1}]).coords({0: 0, 1: 1})
+
+
+class _FullScanSpan:
+    """Reference span solver: reduces through every pivot in insertion order."""
+
+    def __init__(self):
+        self.n = 0
+        self.pivots = []
+
+    def append(self, gen):
+        row = {k: Fraction(v) for k, v in gen.items() if v}
+        coeff = self._reduce(row, {self.n: Fraction(1)})
+        if not row:
+            return False
+        self.n += 1
+        key = min(row)
+        pv = row[key]
+        self.pivots.append(
+            (key, {k: v / pv for k, v in row.items()}, {k: v / pv for k, v in coeff.items()})
+        )
+        return True
+
+    def _reduce(self, row, coeff):
+        for key, prow, pcoeff in self.pivots:
+            v = row.get(key)
+            if v:
+                for k, c in prow.items():
+                    row[k] = row.get(k, 0) - v * c
+                    if not row[k]:
+                        del row[k]
+                for k, c in pcoeff.items():
+                    coeff[k] = coeff.get(k, 0) - v * c
+                    if not coeff[k]:
+                        del coeff[k]
+        return coeff
+
+    def coords(self, vec):
+        row = {k: Fraction(v) for k, v in vec.items() if v}
+        coeff = self._reduce(row, {})
+        if row:
+            raise ValueError("vector not in span")
+        return [-coeff.get(k, 0) for k in range(self.n)]
+
+
+span_entries = st.one_of(st.integers(-3, 3), fracs)
+span_vecs = st.dictionaries(st.integers(0, 9), span_entries, max_size=4)
+
+
+@given(
+    st.lists(span_vecs, max_size=8),
+    st.lists(st.one_of(span_vecs, st.lists(span_entries, min_size=8, max_size=8)), max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_span_solver_matches_full_scan(gens, queries):
+    """Coordinates and refusals equal those of a reduction through every pivot.
+
+    A query given as a list is the combination of the generators with
+    those coefficients, so it lies in the span.
+    """
+    solver, ref = SpanSolver([]), _FullScanSpan()
+    for gen in gens:
+        assert solver.append(gen) == ref.append(gen)
+    for query in queries:
+        if isinstance(query, list):
+            vec = {}
+            for c, gen in zip(query, gens):
+                exact._add_scaled(vec, gen, c)
+        else:
+            vec = query
+        try:
+            expect = ref.coords(vec)
+        except ValueError:
+            with pytest.raises(ValueError, match="not in span"):
+                solver.coords(vec)
+        else:
+            got = solver.coords(vec)
+            assert got == expect
+            assert all(type(c) in (int, Fraction) for c in got)
+
+
+def _eager_echelon(m, ncols):
+    """Bareiss elimination that rescales every row below the pivot at every step."""
+    nr = len(m)
+    prev = 1
+    r = 0
+    piv_cols = []
+    for c in range(ncols):
+        if r >= nr:
+            break
+        best = -1
+        best_count = None
+        scanned = 0
+        for i in range(r, nr):
+            if m[i][c]:
+                cnt = sum(1 for x in m[i] if x)
+                if best_count is None or cnt < best_count:
+                    best, best_count = i, cnt
+                scanned += 1
+                if scanned >= 16:
+                    break
+        if best < 0:
+            continue
+        if best != r:
+            m[r], m[best] = m[best], m[r]
+        p = m[r][c]
+        for i in range(r + 1, nr):
+            mi = m[i]
+            f = mi[c]
+            mr = m[r]
+            if f:
+                for j in range(c + 1, ncols):
+                    mi[j] = (p * mi[j] - f * mr[j]) // prev
+                mi[c] = 0
+            elif prev != 1 or p != 1:
+                for j in range(c + 1, ncols):
+                    if mi[j]:
+                        mi[j] = (p * mi[j]) // prev
+        prev = p
+        piv_cols.append(c)
+        r += 1
+    return piv_cols, m[:r]
+
+
+@st.composite
+def integer_systems(draw):
+    """Small integer systems, some with dependent rows and zero columns."""
+    ncols = draw(st.integers(1, 8))
+    rows = draw(
+        st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), max_size=8)
+    )
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[c] = 0
+    return rows, ncols
+
+
+@given(integer_systems())
+@settings(max_examples=300, deadline=None)
+def test_bareiss_matches_eager_recurrence(system):
+    rows, ncols = system
+    lazy = exact._bareiss_echelon([[exact.mpz(x) for x in row] for row in rows], ncols)
+    assert lazy == _eager_echelon([list(row) for row in rows], ncols)
 
 
 def test_kernel_dense_row_length_mismatch():

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracle
 from qcfeff.exact import kernel_basis
 from qcfeff.gradedlie import (
     ClosureError,
@@ -12,6 +15,18 @@ from qcfeff.gradedlie import (
 )
 
 F1 = Fraction(1)
+
+# SHA-256 of _build_digest, taken with the algebras built through
+# Fraction-valued ExactMatrix commutators and an all-pairs Killing sum
+_BUILD_DIGESTS = {
+    "qc(n=1)": "817c0e6c27f4a09bfea9cd9ef7a1b41987837ad980112044451ece82e118897f",
+    "qc(n=2)": "32d0fa0459caff8bbb3e703b60736e6173abdce0443ae2ceef351062a92d94da",
+    "qc(n=3)": "8b236302301049af744a12aedaa17c743185906890018701b1218226849258d9",
+    "cr(3,1)": "47546c005096222d9e0448de75e78fcd75a32aab4f51f5cc6b17683d3c984e3c",
+    "cr(5,1)": "a9b571442f332afd446e1b04cdf0647d78c20a12fa46e130f995b4c403915c41",
+    "co(7,3)": "1b3b7315b29e82e84e8afce8d1dbcf39e0ca8482ad1bd6c3c2cbced682bb4401",
+    "co(11,3)": "bb432c16558b1749b34d0058527554ce57d38f163ddc046f97fef837e08396b4",
+}
 
 
 def centralizer_in_degree(alg, degree, subspace):
@@ -251,3 +266,37 @@ def test_native_matrices_satisfy_defining_identity(chain1):
             assert (mat.transpose() * s + s * mat.conj()).is_zero()
             if alg.kind == "complex":
                 assert mat.trace().is_zero()
+
+
+def _build_digest(alg):
+    """SHA-256 over the built data, every scalar as its str."""
+    doc = {
+        "serialize": alg.serialize(),
+        "killing": [[str(v) for v in row] for row in alg.killing],
+        "grading_element": sorted((i, str(c)) for i, c in alg.grading_element.items()),
+        "ambient": [
+            [
+                m.rows,
+                m.cols,
+                m.kind,
+                sorted([i, j, [str(x) for x in q.comps]] for (i, j), q in m.entries.items()),
+            ]
+            for m in alg.ambient
+        ],
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_algebras(chain1, chain2):
+    return [*chain1, *chain2, build_qc(3)]
+
+
+def test_built_data_pinned(pinned_algebras):
+    assert {alg.name: _build_digest(alg) for alg in pinned_algebras} == _BUILD_DIGESTS
+
+
+def test_killing_matches_all_pairs_sum(pinned_algebras):
+    """The degree-filtered Killing form equals the sum over every pair, zeros included."""
+    for alg in pinned_algebras:
+        assert alg.killing == oracle.killing_form(alg)

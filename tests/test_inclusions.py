@@ -135,6 +135,9 @@ def test_structural_negative_control(inclusions1):
     bad = inc.degree_shuffled_inclusion(phi1)
     assert not bad.is_homomorphism()
     assert not inc.check_structural_conditions(bad)["pass"]
+    assert bad.killing_constant == phi1.killing_constant
+    given = inc.GradedInclusion(phi1.source, phi1.target, phi1.img, killing_constant=Fraction(5))
+    assert given.killing_constant == 5  # taken as given, not solved for
 
 
 def test_induce_recover_roundtrip(inclusions1):
@@ -537,6 +540,18 @@ def test_corner_trace_structure(inclusions1):
         assert c is not None and c != 0
     lam = inc.corner_square_constant(cr, "i")
     assert lam is not None and lam < 0
+
+
+@pytest.mark.parametrize("fixture", ["inclusions1", "inclusions2"])
+def test_exact_data_holds_no_float(fixture, request):
+    """Integer data divided with / would turn float; every exact value is int or Fraction."""
+    qc, cr, co, phi1, phi2, phic = request.getfixturevalue(fixture)
+    values = [phi.killing_constant for phi in (phi1, phi2, phic)]
+    values += [inc.corner_trace_constant(qc, unit) for unit in ("i", "j", "k")]
+    for alg in (qc, cr, co):
+        values += [v for row in alg.killing for v in row]
+        values += [c for row in alg._bracket_table.values() for c in row.values()]
+    assert {type(v) for v in values} <= {int, Fraction}
 
 
 def test_trace_pairings(inclusions1):
