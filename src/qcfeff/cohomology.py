@@ -457,10 +457,9 @@ def harmonic_space(alg, n, l):
     cochains = []
     for vec in vecs:
         c = Cochain(alg, n)
-        for t, v in enumerate(vec):
-            if v:
-                key, m = src[t]
-                c.add_term(key, {m: v})
+        for t, v in vec.items():
+            key, m = src[t]
+            c.add_term(key, {m: v})
         cochains.append(c)
     return len(vecs), cochains, src
 

@@ -23,7 +23,6 @@ try:
 except ImportError:  # gmpy2 is optional (the "gmpy" extra); plain int is exact too
     mpz = int
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 KINDS = ("rational", "complex", "quaternion")
@@ -290,6 +289,8 @@ def realify_C(m: ExactMatrix) -> ExactMatrix:
 def _int_row(row, ncols):
     """Primitive integer {col: int} form of one dense or sparse rational row."""
     if isinstance(row, dict):
+        if not all(0 <= j < ncols for j in row):
+            raise ValueError("row column out of range")
         items = [(j, v) for j, v in row.items() if v]
     else:
         if len(row) != ncols:
@@ -371,13 +372,14 @@ def _bareiss_echelon(m, ncols):
 
 
 def _kernel_from_echelon(piv_cols, ech, ncols):
-    """Primitive integer kernel vectors, one per free column.
+    """Primitive integer {col: int} kernel vectors, one per free column.
 
     Back substitution runs in integers: when a pivot does not divide the
     running sum, the vector is scaled by |pivot| / gcd.  The total scale is
     then the lcm of the denominators of the rational solution that is 1 at
     the free column, so each vector is primitive: the unique one that is
-    positive at its free column and zero at every other free column.
+    positive at its free column and zero at every other free column.  Its
+    keys come in increasing order.
     """
     piv_set = set(piv_cols)
     steps = [
@@ -389,17 +391,16 @@ def _kernel_from_echelon(piv_cols, ech, ncols):
     for fc in range(ncols):
         if fc in piv_set:
             continue
-        x = [0] * ncols
-        x[fc] = 1
+        x = {fc: 1}
         for pc, p, tail in steps:
-            s = sum(v * x[j] for j, v in tail if x[j])
+            s = sum(v * x[j] for j, v in tail if j in x)
             if s:
                 k = abs(p) // gcd(s, p)
                 if k > 1:
-                    x = [v * k for v in x]
+                    x = {j: v * k for j, v in x.items()}
                     s *= k
                 x[pc] = -s // p
-        basis.append(tuple(x))
+        basis.append({j: x[j] for j in sorted(x)})
     return basis
 
 
@@ -410,8 +411,10 @@ def kernel_basis(rows, ncols):
     dicts.  The columns are split into the connected components of the
     row/column incidence graph and each component is solved on its own; a
     column that no row touches contributes its unit vector.  Vectors are
-    primitive tuples of int, positive at their free column (the largest
-    index in their support) and ordered by it.
+    zero-free {col: int} dicts with their keys in increasing order,
+    primitive, positive at their free column (the largest key) and
+    ordered by it.  A dense row must have length ncols, and a dict row
+    may only name columns 0..ncols-1 (ValueError otherwise).
 
     The result is certified: every vector is verified to satisfy M v = 0
     exactly against every row of the whole system.
@@ -437,21 +440,15 @@ def kernel_basis(rows, ncols):
         comp_cols.setdefault(find(c), []).append(c)
     for row in sparse_rows:
         comp_rows.setdefault(find(next(iter(row))), []).append(row)
-    keyed = []
+    basis = []
     for root, cols in comp_cols.items():
         local = {c: t for t, c in enumerate(cols)}
         local_rows = [
             {local[j]: v for j, v in row.items()} for row in comp_rows.get(root, ())
         ]
         for lvec in _component_kernel(local_rows, len(cols)):
-            vec = [0] * ncols
-            for t, v in enumerate(lvec):
-                if v:
-                    vec[cols[t]] = v
-                    free = cols[t]
-            keyed.append((free, tuple(vec)))
-    keyed.sort(key=lambda fv: fv[0])
-    basis = [vec for _, vec in keyed]
+            basis.append({cols[t]: v for t, v in lvec.items()})
+    basis.sort(key=max)  # by free column
     if not _verify_kernel(sparse_rows, basis):
         raise ArithmeticError("kernel verification failed")
     return basis
@@ -487,11 +484,10 @@ def _verify_kernel(sparse_rows, basis):
             touching.setdefault(j, []).append(i)
     for vec in basis:
         hit = set()
-        for j, v in enumerate(vec):
-            if v:
-                hit.update(touching.get(j, ()))
+        for j in vec:
+            hit.update(touching.get(j, ()))
         for i in hit:
-            if sum(rv * vec[j] for j, rv in sparse_rows[i].items()):
+            if sum(rv * vec[j] for j, rv in sparse_rows[i].items() if j in vec):
                 return False
     return True
 
@@ -555,12 +551,10 @@ class SpanSolver:
         return row, coeff
 
     def coords(self, vec):
+        """{position: coefficient} of vec over the generators, zero-free, by position."""
         row = {k: v for k, v in vec.items() if v != 0}
         coeff = {}
         row, coeff = self._reduce(row, coeff)
         if row:
             raise ValueError("vector not in span")
-        out = [_F0] * self.n
-        for k, v in coeff.items():
-            out[k] = -v
-        return out
+        return {k: -coeff[k] for k in sorted(coeff)}

@@ -251,11 +251,7 @@ class GradedLieAlgebra:
         if idxs is None:
             raise ClosureError("bracket landed in missing degree %d" % deg)
         coeffs = self._solvers[deg].coords(vec)
-        return {
-            idxs[t]: c.numerator if c.denominator == 1 else c
-            for t, c in enumerate(coeffs)
-            if c
-        }
+        return {idxs[t]: c.numerator if c.denominator == 1 else c for t, c in coeffs.items()}
 
     def _build_brackets(self):
         units = [
@@ -384,7 +380,7 @@ class GradedLieAlgebra:
                 )
                 for t, a in enumerate(lo):
                     col = gram.coords({t: _F1})
-                    duals[pos_of[a]] = {hi[s]: c for s, c in enumerate(col) if c}
+                    duals[pos_of[a]] = {hi[s]: c for s, c in col.items()}
             except ValueError:
                 raise SingularPairingError("Killing pairing degenerate") from None
         self._dual = (minus, duals)

@@ -28,7 +28,7 @@ from .cohomology import (
     _tables,
     random_cochain,
 )
-from .exact import ExactMatrix, SpanSolver, _add_scaled, _div, kernel_basis
+from .exact import SpanSolver, _add_scaled, _div, kernel_basis
 from .gradedlie import GradedLieAlgebra, matrix_to_coordvec
 
 _F0 = Fraction(0)
@@ -68,10 +68,7 @@ class GradedInclusion:
         self.target = target
         if img is None:
             solver = SpanSolver([matrix_to_coordvec(m) for m in target.ambient])
-            img = []
-            for m in source.ambient:
-                coeffs = solver.coords(matrix_to_coordvec(m))
-                img.append({t: c for t, c in enumerate(coeffs) if c})
+            img = [solver.coords(matrix_to_coordvec(m)) for m in source.ambient]
         self.img = img
         if killing_constant is None:
             killing_constant = self._solve_killing_constant()
@@ -193,7 +190,7 @@ class GradedInclusion:
         # xi_p: coordinates of the p-th target minus basis vector over cols
         xi = []
         for p in range(len(tminus)):
-            full = {cols[t]: c for t, c in enumerate(probe.coords({p: _F1})) if c}
+            full = {cols[t]: c for t, c in probe.coords({p: _F1}).items()}
             minus_only = {i: c for i, c in full.items() if src.degrees[i] < 0}
             xi.append((full, minus_only))
         self._induce_data = (tminus, xi, complement)
@@ -230,7 +227,7 @@ class GradedInclusion:
         covs, gram = self._projection()
         proj = {}
         for k, cov in enumerate(covs):
-            ginv_k = {i: g for i, g in enumerate(gram.coords({k: _F1})) if g}
+            ginv_k = gram.coords({k: _F1})
             for t, c in cov.items():
                 _add_scaled(proj.setdefault(t, {}), ginv_k, c)
         proj_den = _denominator_lcm(proj.values())
@@ -313,13 +310,8 @@ def check_structural_conditions(phi: GradedInclusion) -> dict:
     checks["homomorphism"] = phi.is_homomorphism()
 
     # local transitivity: phi(g) + p~ = g~
-    vectors = []
     tdim = tgt.dim
-    for im in phi.img:
-        vectors.append([im.get(t, _F0) for t in range(tdim)])
-    for t in range(tdim):
-        if tgt.degrees[t] >= 0:
-            vectors.append([_F1 if s == t else _F0 for s in range(tdim)])
+    vectors = phi.img + [{t: 1} for t in range(tdim) if tgt.degrees[t] >= 0]
     rank = tdim - len(kernel_basis(vectors, tdim))
     checks["transitivity"] = rank == tdim
 
@@ -342,8 +334,7 @@ def check_structural_conditions(phi: GradedInclusion) -> dict:
             if tgt.degrees[t] < 0:
                 zrows.setdefault(t, {})[col] = c
     for vec in kernel_basis(list(zrows.values()), len(zero_idx)):
-        v = {zero_idx[t]: c for t, c in enumerate(vec) if c}
-        full = phi.apply(v)
+        full = phi.apply({zero_idx[t]: c for t, c in vec.items()})
         if any(tgt.degrees[t] != 0 for t in full):
             ok = False
     checks["g0_condition"] = ok
@@ -481,8 +472,7 @@ def p_co_cap_gqc(phi_qc_co: GradedInclusion):
         for t, c in phi_qc_co.img[i].items():
             if phi_qc_co.target.degrees[t] < 0:
                 rows.setdefault(t, {})[i] = c
-    vecs = kernel_basis(list(rows.values()), src.dim)
-    return [{i: c for i, c in enumerate(vec) if c} for vec in vecs]
+    return kernel_basis(list(rows.values()), src.dim)
 
 
 def _solution_coeffs(cols, vec):
@@ -492,10 +482,9 @@ def _solution_coeffs(cols, vec):
     column t of a solution-space system.
     """
     out = {}
-    for t, c in enumerate(vec):
-        if c:
-            key, val = cols[t]
-            _add_scaled(out.setdefault(key, {}), val, c)
+    for t, c in vec.items():
+        key, val = cols[t]
+        _add_scaled(out.setdefault(key, {}), val, c)
     return {key: val for key, val in out.items() if val}
 
 
@@ -743,42 +732,48 @@ def inverse_negative_control(qc, cr, co, phi2, phic) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _pairing_form(co: GradedLieAlgebra) -> ExactMatrix:
-    """The (1, Q) pairing matrix: the middle-block Witt metric padded by 1s.
+def _pairing_involution(co: GradedLieAlgebra):
+    """The involution sigma of the (1, Q) pairing, whose matrix has its 1s at (a, sigma(a)).
 
     In the conformal splitting R w_0 + R^(m-2) + R w_last the middle
-    block carries the signature-(p, q) Witt form; the two light slots
-    enter with coefficient 1.
+    block carries the signature-(p, q) Witt form, which pairs a with
+    m - 1 - a for a < q or a >= m - q and a with itself otherwise; the
+    two light slots 0 and m - 1 are fixed.
     """
-    from .exact import Quaternion
-
     m, q = co.m, co.q
-    ent = {(0, 0): Quaternion(1), (m - 1, m - 1): Quaternion(1)}
-    for a in range(1, m - 1):
-        ta = m - 1 - a if (a < q or a >= m - q) else a
-        ent[(a, ta)] = Quaternion(1)
-    return ExactMatrix(m, m, ent)
+    return [m - 1 - a if 0 < a < m - 1 and (a < q or a >= m - q) else a for a in range(m)]
 
 
 def trace_pairing(phi_qc_co: GradedInclusion, u, v) -> Fraction:
-    """tr((1,Q) phi_-(u) (1,Q) phi_-(v)^t) for source coefficient vectors."""
+    """tr((1,Q) phi_-(u) (1,Q) phi_-(v)^t) for source coefficient vectors.
+
+    (1,Q) permutes by sigma, so the trace is the sum of mu_kl nu_(sigma k, sigma l).
+    """
     co = phi_qc_co.target
-    q = _pairing_form(co)
-    mu = co.native_of_vec(phi_qc_co.minus_part(u))
-    mv = co.native_of_vec(phi_qc_co.minus_part(v))
-    t = (q * mu * q * mv.transpose()).trace()
-    return t.a
+    sigma = _pairing_involution(co)
+    mu = co.native_of_vec(phi_qc_co.minus_part(u)).entries
+    nu = co.native_of_vec(phi_qc_co.minus_part(v)).entries
+    t = 0
+    for (k, l), x in mu.items():
+        y = nu.get((sigma[k], sigma[l]))
+        if y is not None:
+            t += (x * y).a
+    return t
 
 
 def real_trace_pairing(qc, u, v) -> Fraction:
-    """tr_R(x conj(y)^t) = twice the real part of the quaternionic trace."""
-    x = qc.native_of_vec(qc.component(u, -1))
-    y = qc.native_of_vec(qc.component(v, -1))
-    prod = x * y.conj().transpose()
-    tr = Fraction(0)
-    for (i, j), val in prod.entries.items():
-        if i == j and 1 <= i <= qc.m - 2:
-            tr += val.a
+    """tr_R(x conj(y)^t) = twice the real part of the quaternionic trace.
+
+    The real part of the (i, i) entry of x conj(y)^t is the sum over j of
+    the component dot products of x_ij and y_ij; rows 1..m-2 count.
+    """
+    x = qc.native_of_vec(qc.component(u, -1)).entries
+    y = qc.native_of_vec(qc.component(v, -1)).entries
+    tr = 0
+    for (i, j), a in x.items():
+        b = y.get((i, j))
+        if b is not None and 1 <= i <= qc.m - 2:
+            tr += sum(p * r for p, r in zip(a.comps, b.comps))
     return 2 * tr
 
 

@@ -362,15 +362,14 @@ def recover_cochain(phi, tilde: Cochain) -> Cochain:
         for b in minus[ia + 1:]:
             val = eval_vectors(tilde, fa, phi.minus_part({b: _F1}))
             if val:
-                out.add_term((a, b), dict(enumerate(image.coords(val))))
+                out.add_term((a, b), image.coords(val))
     return out
 
 
 def project_to_image(phi, tvec):
     """Killing-orthogonal projection of a target vector onto phi(g)."""
     covs, gram = phi._projection()
-    x = gram.coords({i: _pair(cov, tvec) for i, cov in enumerate(covs)})
-    return phi.apply({i: c for i, c in enumerate(x) if c})
+    return phi.apply(gram.coords({i: _pair(cov, tvec) for i, cov in enumerate(covs)}))
 
 
 def normal_torsionfree_space(qc, phi_qc_co):

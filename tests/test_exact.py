@@ -171,10 +171,10 @@ def _check_kernel(rows, ncols, expect_dim):
     assert len(basis) == expect_dim
     for v in basis:
         for row in rows:
-            assert sum(Fraction(r) * x for r, x in zip(row, v)) == 0
+            assert _dot(row, v) == 0
     # independence: stacked matrix has full row rank
     if basis:
-        stacked = [list(v) for v in basis]
+        stacked = list(basis)
         ann = kernel_basis(stacked, ncols)
         assert len(ann) == ncols - len(basis)
 
@@ -207,14 +207,14 @@ def test_kernel_large_dense_system():
     assert len(basis) >= n - r
     for v in basis[:3]:
         for row in prod[:40]:
-            assert sum(Fraction(c) * x for c, x in zip(row, v)) == 0
+            assert _dot(row, v) == 0
 
 
 def test_kernel_sparse_dict_rows():
     rows = [{0: Fraction(1), 2: Fraction(-1)}, {1: Fraction(2)}]
     basis = kernel_basis(rows, 3)
     assert len(basis) == 1
-    assert basis[0][0] == basis[0][2] and basis[0][1] == 0
+    assert basis[0][0] == basis[0][2] and 1 not in basis[0]
 
 
 entries = st.one_of(
@@ -240,13 +240,14 @@ def test_kernel_vectors_are_primitive_int_certified(system):
     frees = [_free_col(v) for v in basis]
     assert frees == sorted(set(frees))
     for v, fc in zip(basis, frees):
-        assert isinstance(v, tuple) and len(v) == ncols
-        assert all(type(x) is int for x in v)
-        assert gcd(*v) == 1
+        assert isinstance(v, dict)
+        assert all(type(j) is int and 0 <= j < ncols for j in v)
+        assert all(type(x) is int and x != 0 for x in v.values())
+        assert gcd(*v.values()) == 1
         assert v[fc] > 0
-        assert all(v[f] == 0 for f in frees if f != fc)
+        assert all(f not in v for f in frees if f != fc)
         for row in rows:
-            assert sum(Fraction(r) * x for r, x in zip(row, v)) == 0
+            assert _dot(row, v) == 0
 
 
 sparse_vecs = st.dictionaries(st.integers(0, 6), fracs.filter(bool), max_size=6)
@@ -264,7 +265,7 @@ def test_add_scaled_matches_dense_sum(acc, vec, scale):
 
 def test_span_solver():
     # the columns of [[2, 0], [1, 1]]: 2 * (2, 1) + 1 * (0, 1) = (4, 3)
-    assert SpanSolver([{0: 2, 1: 1}, {1: 1}]).coords({0: 4, 1: 3}) == [2, 1]
+    assert SpanSolver([{0: 2, 1: 1}, {1: 1}]).coords({0: 4, 1: 3}) == {0: 2, 1: 1}
     with pytest.raises(ValueError, match="linearly dependent"):
         SpanSolver([{0: 1, 1: 1}, {0: 2, 1: 2}])
     with pytest.raises(ValueError, match="not in span"):
@@ -310,7 +311,7 @@ class _FullScanSpan:
         coeff = self._reduce(row, {})
         if row:
             raise ValueError("vector not in span")
-        return [-coeff.get(k, 0) for k in range(self.n)]
+        return {k: -c for k, c in sorted(coeff.items())}
 
 
 span_entries = st.one_of(st.integers(-3, 3), fracs)
@@ -346,7 +347,7 @@ def test_span_solver_matches_full_scan(gens, queries):
         else:
             got = solver.coords(vec)
             assert got == expect
-            assert all(type(c) in (int, Fraction) for c in got)
+            assert all(type(c) in (int, Fraction) for c in got.values())
 
 
 def _eager_echelon(m, ncols):
@@ -419,6 +420,9 @@ def test_bareiss_matches_eager_recurrence(system):
 def test_kernel_dense_row_length_mismatch():
     with pytest.raises(ValueError, match="row length mismatch"):
         kernel_basis([[1, 2, 3]], 2)
+    for row in ({3: 1}, {-1: 1}):
+        with pytest.raises(ValueError, match="out of range"):
+            kernel_basis([row], 3)
 
 
 def _embed(rows, cols):
@@ -427,7 +431,12 @@ def _embed(rows, cols):
 
 
 def _free_col(vec):
-    return max(j for j, x in enumerate(vec) if x)
+    return max(vec)
+
+
+def _dot(row, vec):
+    """Value of a dense rational row on a sparse {col: value} vector."""
+    return sum(Fraction(row[j]) * x for j, x in vec.items())
 
 
 def test_kernel_splits_interleaved_blocks():
@@ -442,12 +451,9 @@ def test_kernel_splits_interleaved_blocks():
         local = [[rng.randint(-3, 3) for _ in cols] for _ in range(len(cols) // 2)]
         rows += _embed(local, cols)
         for lvec in kernel_basis(local, len(cols)):
-            vec = [Fraction(0)] * ncols
-            for t, v in enumerate(lvec):
-                vec[cols[t]] = v
-            expect.append(tuple(vec))
+            expect.append({cols[t]: v for t, v in lvec.items()})
     for c in untouched:
-        expect.append(tuple(Fraction(int(j == c)) for j in range(ncols)))
+        expect.append({c: 1})
     rng.shuffle(rows)
     expect.sort(key=_free_col)
     assert kernel_basis(rows, ncols) == expect
@@ -456,7 +462,7 @@ def test_kernel_splits_interleaved_blocks():
 
 def test_kernel_certificate_rejects_wrong_vector(monkeypatch):
     monkeypatch.setattr(
-        exact, "_component_kernel", lambda rows, n: [tuple(Fraction(1) for _ in range(n))]
+        exact, "_component_kernel", lambda rows, n: [{j: 1 for j in range(n)}]
     )
     with pytest.raises(ArithmeticError, match="verification"):
         kernel_basis([[1, 2], [0, 1]], 2)

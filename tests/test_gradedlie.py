@@ -44,7 +44,7 @@ def centralizer_in_degree(alg, degree, subspace):
                 cols.setdefault(l, {})[t] = c
         rows.extend(cols.values())
     basis = kernel_basis(rows, len(idxs))
-    return [{idxs[t]: c for t, c in enumerate(vec) if c} for vec in basis]
+    return [{idxs[t]: c for t, c in vec.items()} for vec in basis]
 
 
 def test_qc_dimensions(chain1):
@@ -223,7 +223,7 @@ def test_centralizer_of_gminus2_in_g0(inclusions1):
     cap0 = kernel_basis(list(rows.values()), len(zero_idx))
     assert len(cap0) == 1 + n * (2 * n + 1)
     # containment: the centralizer lies inside the parabolic intersection
-    span_rows = [list(v) for v in cap0]
+    span_rows = list(cap0)
     rank_cap = len(zero_idx) - len(kernel_basis(span_rows, len(zero_idx)))
     joint = span_rows + [
         [v.get(i, Fraction(0)) for i in zero_idx] for v in cent

@@ -12,7 +12,7 @@ import oracle
 from qcfeff import cohomology as coh
 from qcfeff import inclusions as inc
 from qcfeff.cohomology import Cochain, random_cochain
-from qcfeff.exact import Quaternion
+from qcfeff.exact import ExactMatrix, Quaternion
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -559,6 +559,41 @@ def test_trace_pairings(inclusions1):
     rep = inc.trace_pairing_check(qc, phic)
     assert rep["pass"]
     assert set(rep["scalar_pairings"].values()) == {"-2"}
+
+
+def _product_trace_pairing(phic, u, v):
+    """tr((1,Q) phi_-(u) (1,Q) phi_-(v)^t) by matrix products, Q the Witt form."""
+    co = phic.target
+    m, q = co.m, co.q
+    ent = {(0, 0): 1, (m - 1, m - 1): 1}
+    for a in range(1, m - 1):
+        ent[(a, m - 1 - a if (a < q or a >= m - q) else a)] = 1
+    form = ExactMatrix(m, m, ent)
+    mu = co.native_of_vec(phic.minus_part(u))
+    mv = co.native_of_vec(phic.minus_part(v))
+    return (form * mu * form * mv.transpose()).trace().a
+
+
+def _product_real_trace_pairing(qc, u, v):
+    """tr_R(x conj(y)^t) over rows 1..m-2, by a matrix product."""
+    x = qc.native_of_vec(qc.component(u, -1))
+    y = qc.native_of_vec(qc.component(v, -1))
+    prod = x * y.conj().transpose()
+    return 2 * sum(val.a for (i, j), val in prod.entries.items() if i == j and 1 <= i <= qc.m - 2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_trace_pairings_match_the_product_formula(n, inclusions1, inclusions2):
+    """Both pairings equal their matrix-product definitions on every pair of
+    basis elements of degree at most 0."""
+    qc, _, _, _, _, phic = inclusions1 if n == 1 else inclusions2
+    low = [i for i in range(qc.dim) if qc.degrees[i] <= 0]
+    assert len(low) ** 2 == {1: 196, 2: 625}[n]
+    for a in low:
+        for b in low:
+            u, v = {a: F1}, {b: F1}
+            assert inc.trace_pairing(phic, u, v) == _product_trace_pairing(phic, u, v)
+            assert inc.real_trace_pairing(qc, u, v) == _product_real_trace_pairing(qc, u, v)
 
 
 def test_scaling_compatibility(inclusions1):

@@ -71,6 +71,39 @@ def test_every_function_in_src_is_referenced():
     assert unreferenced == []
 
 
+def test_every_import_and_private_constant_is_read():
+    """An import or a module-level private name (``_X = ...``) that its own
+    module never reads is dead.
+
+    ``__init__`` imports are re-exports, and ``__future__`` imports are
+    compiler directives.
+    """
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        bound = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        bound += [
+            target.id
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+            and target.id.startswith("_")
+            and not target.id.startswith("__")
+        ]
+        unread += ["%s:%s" % (path.name, name) for name in bound if name not in read]
+    assert unread == []
+
+
 def test_oracle_reads_no_integer_machinery():
     """The rational oracle stays a separate reference for the integer engine."""
     read = _referenced_names(ast.parse(ORACLE.read_text()))
