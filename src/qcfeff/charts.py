@@ -7,6 +7,14 @@ Curvature and tractor data always read jets of order 3: the Cotton
 tensor, the Weyl divergence and the derivative rows of the tractor
 connection take third derivatives of the metric and of the field.
 
+Apart from the jet tensor d3g, a CurvatureData build holds no array
+with five indices.  Of the second derivatives of the Christoffel
+symbols and the first derivatives of the Riemann tensor it builds only
+the two traces that anything reads: d2gamtr (for the tractor data) and
+dric (for the derivative of the Schouten tensor and the Cotton tensor).
+The full derivative of the Riemann tensor exists only inside
+weyl_divergence, which the random-metric identity suite calls.
+
 Sign conventions, fixed here and arbitrated by the identity suites:
 R(u,v)w = [nabla_u, nabla_v]w - nabla_[u,v]w (round sphere positively
 curved); the Schouten tensor solves Ric + (m-2) P + tr(P) g = 0, so the
@@ -18,7 +26,8 @@ which weyl_divergence_residual verifies (and fits empirically).
 
 Index layout: dg[a,b,c] = d_c g_ab, d2g[a,b,c,d] = d_c d_d g_ab,
 gamma[a,b,c] = Gamma^a_bc, riem[a,b,c,d] = R^a_bcd (value slot b,
-antisymmetric in c,d), r4[x,y,z,t] = g(R(x,y)z, t).
+antisymmetric in c,d), r4[x,y,z,t] = g(R(x,y)z, t), d2gamtr[c,e,f] =
+d_e d_f Gamma^a_ac, dric[b,d,e] = d_e Ric_bd.
 """
 
 from __future__ import annotations
@@ -221,17 +230,7 @@ class CurvatureData:
             + np.einsum("ae,efcd,fb->abcd", ginv, d2g, ginv, optimize=_PATH3)
             + np.einsum("ae,efc,fbd->abcd", ginv, dg, dginv, optimize=_PATH3)
         )
-        d2gamma_low = 0.5 * (
-            d3g
-            + np.einsum("dcbef->dbcef", d3g)
-            - np.einsum("bcdef->dbcef", d3g)
-        )
-        self.d2gamma = (
-            np.einsum("ad,dbcef->abcef", ginv, d2gamma_low, optimize=_PATH2)
-            + np.einsum("ade,dbcf->abcef", dginv, dgamma_low, optimize=_PATH2)
-            + np.einsum("adf,dbce->abcef", dginv, dgamma_low, optimize=_PATH2)
-            + np.einsum("adef,dbc->abcef", d2ginv, gamma_low, optimize=_PATH2)
-        )
+        self.gamma_low, self.dgamma_low, self.d2ginv = gamma_low, dgamma_low, d2ginv
 
         gam, dgam = self.gamma, self.dgamma
         self.riem = (
@@ -248,17 +247,44 @@ class CurvatureData:
         self.r4 = np.einsum("ta,azxy->xyzt", g, self.riem, optimize=_PATH2)
         self.weyl = self.r4 - _kulkarni(self.P, g)
 
-        d2gam = self.d2gamma
-        driem = (
-            np.einsum("adbce->abcde", d2gam)
-            - np.einsum("acbde->abcde", d2gam)
-            + np.einsum("acfe,fdb->abcde", dgam, gam, optimize=_PATH2)
-            + np.einsum("acf,fdbe->abcde", gam, dgam, optimize=_PATH2)
-            - np.einsum("adfe,fcb->abcde", dgam, gam, optimize=_PATH2)
-            - np.einsum("adf,fcbe->abcde", gam, dgam, optimize=_PATH2)
+        # Two traces of d2gamma and driem, built without either array.
+        # trIJ contracts slots I and J of d3g with ginv.  d3g is symmetric
+        # in its three derivative slots, and derivative_tensor stores them
+        # outermost, so d3z[c,d,e,a,b] = d3g[a,b,c,d,e] is C-contiguous and
+        # each trace is a matrix-vector product on a view of it.
+        d3z = d3g.transpose(2, 3, 4, 0, 1)
+        w = ginv.T.ravel()  # w[x*m + a] = ginv[a, x]
+        tr01 = (d3z.reshape(-1, m * m) @ w).reshape(m, m, m)
+        tr34 = (w @ d3z.reshape(m * m, -1)).reshape(m, m, m).transpose(1, 2, 0)
+        tr04 = (ginv.ravel() @ d3z.reshape(m * m, m * m, m)).reshape(m, m, m)
+        tr04 = tr04.transpose(2, 0, 1)
+        self.gamtr = np.einsum("aae->e", gam)
+        self.dgamtr = np.einsum("aaec->ec", dgam)
+        # d2gamtr[c,e,f] = d_e d_f Gamma^a_ac, where Gamma^a_ac = g^ad d_c g_da / 2
+        self.d2gamtr = 0.5 * (
+            tr01
+            + np.einsum("ade,dacf->cef", dginv, d2g, optimize=_PATH2)
+            + np.einsum("adf,dace->cef", dginv, d2g, optimize=_PATH2)
+            + np.einsum("adef,dac->cef", d2ginv, dg, optimize=_PATH2)
         )
-        self.driem = driem
-        self.dric = np.einsum("abade->bde", driem)
+        # dric[b,d,e] = d_e Ric_bd = d_e R^a_bad: d_a d_e Gamma^a_db, minus
+        # d2gamtr, plus the Gamma dGamma products of d_e R^a_bad
+        dginv_tr = np.einsum("axa->x", dginv)
+        d2ginv_tr = np.einsum("axae->xe", d2ginv)
+        div_d2gamma = (
+            0.5 * (np.einsum("dbe->bde", tr04 - tr34) + tr04)
+            + np.einsum("x,xdbe->bde", dginv_tr, dgamma_low, optimize=_PATH2)
+            + np.einsum("axe,xdba->bde", dginv, dgamma_low, optimize=_PATH2)
+            + np.einsum("xe,xdb->bde", d2ginv_tr, gamma_low, optimize=_PATH2)
+        )
+        self.dric = (
+            div_d2gamma
+            - self.d2gamtr
+            + np.einsum("fe,fdb->bde", self.dgamtr, gam, optimize=_PATH2)
+            + np.einsum("f,fdbe->bde", self.gamtr, dgam, optimize=_PATH2)
+            - np.einsum("adfe,fab->bde", dgam, gam, optimize=_PATH2)
+            - np.einsum("adf,fabe->bde", gam, dgam, optimize=_PATH2)
+        )
         self.dscal = np.einsum(
             "bd,bde->e", ginv, self.dric, optimize=_PATH2
         ) + np.einsum("bde,bd->e", dginv, self.ric, optimize=_PATH2)
@@ -277,6 +303,31 @@ class CurvatureData:
         )
         self.cotton = self.covP - np.einsum("cab->acb", self.covP)
 
+    def _driem(self):
+        """driem[a,b,c,d,e] = d_e R^a_bcd, built in full from d2gamma."""
+        ginv, d3g, dginv, d2ginv = self.ginv, self.d3g, self.dginv, self.d2ginv
+        gamma_low, dgamma_low = self.gamma_low, self.dgamma_low
+        gam, dgam = self.gamma, self.dgamma
+        d2gamma_low = 0.5 * (
+            d3g
+            + np.einsum("dcbef->dbcef", d3g)
+            - np.einsum("bcdef->dbcef", d3g)
+        )
+        d2gam = (
+            np.einsum("ad,dbcef->abcef", ginv, d2gamma_low, optimize=_PATH2)
+            + np.einsum("ade,dbcf->abcef", dginv, dgamma_low, optimize=_PATH2)
+            + np.einsum("adf,dbce->abcef", dginv, dgamma_low, optimize=_PATH2)
+            + np.einsum("adef,dbc->abcef", d2ginv, gamma_low, optimize=_PATH2)
+        )
+        return (
+            np.einsum("adbce->abcde", d2gam)
+            - np.einsum("acbde->abcde", d2gam)
+            + np.einsum("acfe,fdb->abcde", dgam, gam, optimize=_PATH2)
+            + np.einsum("acf,fdbe->abcde", gam, dgam, optimize=_PATH2)
+            - np.einsum("adfe,fcb->abcde", dgam, gam, optimize=_PATH2)
+            - np.einsum("adf,fcbe->abcde", gam, dgam, optimize=_PATH2)
+        )
+
     # -- residuals ----------------------------------------------------------
 
     def schouten_residual(self):
@@ -293,13 +344,14 @@ class CurvatureData:
     def weyl_divergence(self):
         """g^{et} (nabla_e W)(x, y, z, t).
 
-        The covariant derivative of the Weyl tensor is an m^5 array that
-        only this check reads, so it is built here, not with the rest.
+        The covariant derivative of the Weyl tensor and the derivative of
+        the Riemann tensor it starts from are m^5 arrays that only this
+        check reads, so they are built here, not with the rest.
         """
         g, dg, weyl = self.g, self.dg, self.weyl
         gam_t = self.gamma.transpose((0, 2, 1))
         dr4 = np.einsum("tae,azxy->xyzte", dg, self.riem) + np.einsum(
-            "ta,azxye->xyzte", g, self.driem
+            "ta,azxye->xyzte", g, self._driem()
         )
         dweyl = dr4 - _dkulkarni(self.P, self.dP, g, dg)
         covw = (
@@ -382,15 +434,13 @@ class TractorData:
         ) / (1.0 + float(np.max(np.abs(g))))
 
         # alpha derivatives (alpha = div(k)/m)
-        gamtr = np.einsum("aae->e", gam)
-        dgamtr = np.einsum("aaec->ec", c.dgamma)
+        gamtr, dgamtr, d2gamtr = c.gamtr, c.dgamtr, c.d2gamtr
         dalpha = (
             np.einsum("aac->c", d2k)
             + np.einsum("ec,e->c", dgamtr, k)
             + np.einsum("e,ec->c", gamtr, dk)
         ) / m
         self.dalpha = dalpha
-        d2gamtr = np.einsum("aaecd->ecd", c.d2gamma)
         self.d2alpha = (
             np.einsum("aacd->cd", self.d3k)
             + np.einsum("ecd,e->cd", d2gamtr, k)

@@ -452,11 +452,7 @@ def suite_random_metrics(dim, count=10, seed=0, tol=None):
 
     flat = ch.flat_chart(dim)
     fc = ch.CurvatureData(flat, flat.sample_points(1, seed)[0])
-    flat_max = max(
-        float(np.max(np.abs(fc.riem))),
-        float(np.max(np.abs(fc.weyl))),
-        float(np.max(np.abs(fc.cotton))),
-    )
+    flat_max = ch.worst(np.max(np.abs(t)) for t in (fc.riem, fc.weyl, fc.cotton))
     results["flat_residual"] = flat_max
     ok &= flat_max == 0.0
     return results, bool(ok)

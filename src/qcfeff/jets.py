@@ -72,7 +72,9 @@ class JetSpace:
         """The d^r tensors at the base point, from coefficients on the last axis.
 
         The result has shape ``coef.shape[:-1] + (num_vars,) * r``; its
-        entry [..., c1, ..., cr] is d_c1 ... d_cr of the function.
+        entry [..., c1, ..., cr] is d_c1 ... d_cr of the function.  Its
+        memory holds the derivative axes outermost, as numpy lays out an
+        index on the last axis.
         """
         if r not in self._tensor_index:
             m = self.num_vars
@@ -93,9 +95,9 @@ class JetSpace:
         return coef[..., pos] * fac
 
     def mul(self, ca, cb):
-        out = np.zeros(self.size)
-        np.add.at(out, self._mul_k, ca[self._mul_i] * cb[self._mul_j])
-        return out
+        return np.bincount(
+            self._mul_k, weights=ca[self._mul_i] * cb[self._mul_j], minlength=self.size
+        )
 
 
 class Jet:

@@ -15,6 +15,13 @@ compare the engine against a separate reference.
 
 Every function acts on ``Cochain.coeffs``: strictly increasing tuples
 of minus-basis indices mapped to zero-free value vectors.
+
+``curvature_reference`` is the numerical stack's reference: the full
+curvature pipeline of one point, the m^5 second derivatives of the
+Christoffel symbols and first derivatives of the Riemann tensor
+included, summed by numpy's naive einsum loops from the metric jets.
+``qcfeff.charts.CurvatureData`` builds only the traces of those two
+arrays that its checks read.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
+
+import numpy as np
 
 from qcfeff.cohomology import _WEDGE_SIGN, Cochain, _insert_sorted
 from qcfeff.exact import SpanSolver, _add_scaled
@@ -384,3 +393,84 @@ def holonomy_sample_space(qc, cr, co, phi2, phic, with_traces=True):
         induce_cochain(phic, Cochain(qc, 2, coeffs))
         for coeffs in _holonomy_solutions(qc, cr, co, phi2, phic, with_traces)
     ]
+
+
+# ---------------------------------------------------------------------------
+# curvature of a chart metric at one point, in full
+# ---------------------------------------------------------------------------
+
+
+def curvature_reference(g, dg, d2g, d3g, ginv):
+    """Every curvature tensor of the jets g, dg, d2g, d3g by the full formulas.
+
+    Index layout as in ``qcfeff.charts``; d2gamma[a,b,c,e,f] =
+    d_e d_f Gamma^a_bc and driem[a,b,c,d,e] = d_e R^a_bcd.  Each einsum
+    runs numpy's naive joint loop.
+    """
+    es = np.einsum
+    m = g.shape[0]
+    dginv = -es("ae,efc,fb->abc", ginv, dg, ginv)
+    gamma_low = 0.5 * (dg + es("dcb->dbc", dg) - es("bcd->dbc", dg))
+    gamma = es("ad,dbc->abc", ginv, gamma_low)
+    dgamma_low = 0.5 * (d2g + es("dcbe->dbce", d2g) - es("bcde->dbce", d2g))
+    dgamma = es("ad,dbce->abce", ginv, dgamma_low) + es("ade,dbc->abce", dginv, gamma_low)
+    d2ginv = -(
+        es("aed,efc,fb->abcd", dginv, dg, ginv)
+        + es("ae,efcd,fb->abcd", ginv, d2g, ginv)
+        + es("ae,efc,fbd->abcd", ginv, dg, dginv)
+    )
+    d2gamma_low = 0.5 * (d3g + es("dcbef->dbcef", d3g) - es("bcdef->dbcef", d3g))
+    d2gamma = (
+        es("ad,dbcef->abcef", ginv, d2gamma_low)
+        + es("ade,dbcf->abcef", dginv, dgamma_low)
+        + es("adf,dbce->abcef", dginv, dgamma_low)
+        + es("adef,dbc->abcef", d2ginv, gamma_low)
+    )
+    riem = (
+        es("adbc->abcd", dgamma)
+        - es("acbd->abcd", dgamma)
+        + es("ace,edb->abcd", gamma, gamma)
+        - es("ade,ecb->abcd", gamma, gamma)
+    )
+    ric = es("abad->bd", riem)
+    scal = float(es("bd,bd->", ginv, ric))
+    P = -(ric - (scal / (2.0 * (m - 1))) * g) / (m - 2)
+    kulkarni = (
+        es("xz,yt->xyzt", P, g)
+        + es("yt,xz->xyzt", P, g)
+        - es("xt,yz->xyzt", P, g)
+        - es("yz,xt->xyzt", P, g)
+    )
+    weyl = es("ta,azxy->xyzt", g, riem) - kulkarni
+    driem = (
+        es("adbce->abcde", d2gamma)
+        - es("acbde->abcde", d2gamma)
+        + es("acfe,fdb->abcde", dgamma, gamma)
+        + es("acf,fdbe->abcde", gamma, dgamma)
+        - es("adfe,fcb->abcde", dgamma, gamma)
+        - es("adf,fcbe->abcde", gamma, dgamma)
+    )
+    dric = es("abade->bde", driem)
+    dscal = es("bd,bde->e", ginv, dric) + es("bde,bd->e", dginv, ric)
+    dP = -(
+        dric - es("e,bd->bde", dscal / (2.0 * (m - 1)), g) - (scal / (2.0 * (m - 1))) * dg
+    ) / (m - 2)
+    covP = es("abc->cab", dP) - es("eca,eb->cab", gamma, P) - es("ecb,ae->cab", gamma, P)
+    return {
+        "dginv": dginv,
+        "gamma": gamma,
+        "dgamma": dgamma,
+        "d2gamma": d2gamma,
+        "gamtr": es("aae->e", gamma),
+        "dgamtr": es("aaec->ec", dgamma),
+        "d2gamtr": es("aaecd->ecd", d2gamma),
+        "riem": riem,
+        "ric": ric,
+        "scal": scal,
+        "weyl": weyl,
+        "driem": driem,
+        "dric": dric,
+        "dP": dP,
+        "covP": covP,
+        "cotton": covP - es("cab->acb", covP),
+    }

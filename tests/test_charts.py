@@ -1,4 +1,5 @@
 import numpy as np
+import oracle
 import pytest
 
 from qcfeff import charts as ch
@@ -228,6 +229,14 @@ def _curvature_points():
     return [(chart, chart.sample_points(1, seed=5)[0]) for chart in (q2, resc, rnd)]
 
 
+def _fefferman_point():
+    """A point of the n=2 Heisenberg Fefferman metric (dimension 14)."""
+    from qcfeff.models import fefferman_metric, heisenberg_qc
+
+    chart = fefferman_metric(heisenberg_qc(2))
+    return chart, chart.sample_points(1, seed=5)[0]
+
+
 def test_curvature_build_contracts_on_fixed_paths(monkeypatch):
     """No multi-operand contraction of a CurvatureData build searches or loops naively."""
     chart, pt = _curvature_points()[0]
@@ -252,23 +261,39 @@ def test_curvature_build_contracts_on_fixed_paths(monkeypatch):
 
 
 _CURVATURE_FIELDS = (
-    "dginv", "gamma", "dgamma", "d2gamma", "riem", "ric", "scal",
-    "weyl", "driem", "dric", "dP", "covP", "cotton",
+    "dginv", "gamma", "dgamma", "gamtr", "dgamtr", "d2gamtr", "riem", "ric",
+    "scal", "weyl", "dric", "dP", "covP", "cotton",
 )
 
 
-@pytest.mark.parametrize("index", [0, 1, 2], ids=["quadric2", "rescaled1", "random4"])
-def test_curvature_paths_keep_the_naive_sums(monkeypatch, index):
-    """The pairwise paths change only the rounding of the naive einsum sums."""
-    chart, pt = _curvature_points()[index]
-    einsum = np.einsum
-    with monkeypatch.context() as naive:
-        naive.setattr(
-            np, "einsum", lambda *args, **kw: einsum(*args, **{**kw, "optimize": False})
-        )
-        ref = ch.CurvatureData(chart, pt)
+@pytest.mark.parametrize(
+    "index", [0, 1, 2, 3], ids=["quadric2", "rescaled1", "random4", "fefferman14"]
+)
+def test_curvature_paths_keep_the_naive_sums(index):
+    """The build agrees with the full naive formulas, m^5 arrays included, up to rounding.
+
+    The build sums the two traces it reads of d2gamma and driem straight
+    from the jets; the reference builds both arrays and traces them.
+    """
+    chart, pt = (_curvature_points() + [_fefferman_point()])[index]
     got = ch.CurvatureData(chart, pt)
-    for name in _CURVATURE_FIELDS:
-        want = np.asarray(getattr(ref, name))
+    ref = oracle.curvature_reference(got.g, got.dg, got.d2g, got.d3g, got.ginv)
+    pairs = [(name, getattr(got, name), ref[name]) for name in _CURVATURE_FIELDS]
+    pairs.append(("driem", got._driem(), ref["driem"]))
+    for name, have, want in pairs:
+        want = np.asarray(want)
         tol = 1e-12 * (1.0 + float(np.max(np.abs(want))))
-        assert float(np.max(np.abs(np.asarray(getattr(got, name)) - want))) <= tol, name
+        assert float(np.max(np.abs(np.asarray(have) - want))) <= tol, name
+
+
+def test_curvature_data_holds_no_m5_array_but_d3g():
+    """Of a build's arrays only the jet tensor d3g has five indices."""
+    curv = ch.CurvatureData(*_fefferman_point())
+    five = [
+        name
+        for name, value in vars(curv).items()
+        if isinstance(value, np.ndarray) and value.ndim == 5
+    ]
+    assert five == ["d3g"]
+    # the build reads its traces off views of d3g with the derivative slots first
+    assert curv.d3g.transpose(2, 3, 4, 0, 1).flags.c_contiguous

@@ -219,7 +219,7 @@ def test_random_metrics_nonfinite_residual_fails():
     [
         (
             ("model", "--n", "1", "--samples", "5", "--seed", "11", "--rescale-seed", "7"),
-            "9788b0195f0fc99d52175da246859497e83170b8d5f5582624ab9abea578642f",
+            "7364ee062dc7a8cc0a040d62ac88a7716ffe864778504bb1a6998a2621c3abfa",
         ),
         (
             ("model", "--metric", "heisenberg", "--n", "1", "--samples", "4"),
@@ -304,6 +304,22 @@ def test_model_nonfinite_residual_fails(monkeypatch):
     monkeypatch.setattr(ch, "second_derivative_identity_residual", nan_at_second_point)
     results, ok = suite_model(1, samples=3, seed=0)
     assert math.isnan(results["second_derivative_identity"])
+    assert ok is False
+
+
+def test_random_metrics_flat_nonfinite_residual_fails(monkeypatch):
+    from qcfeff.cli import suite_random_metrics
+
+    build = ch.CurvatureData._build
+
+    def nan_cotton_on_flat(self):
+        build(self)
+        if self.chart.name.startswith("flat"):
+            self.cotton = np.full_like(self.cotton, np.nan)
+
+    monkeypatch.setattr(ch.CurvatureData, "_build", nan_cotton_on_flat)
+    results, ok = suite_random_metrics(4, count=1)
+    assert math.isnan(results["flat_residual"])
     assert ok is False
 
 
