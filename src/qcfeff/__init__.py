@@ -14,12 +14,7 @@ from .gradedlie import (
     build_cr,
     build_qc,
 )
-from .cohomology import (
-    Cochain,
-    bracket_tensor_id,
-    harmonic_space,
-    hodge_check,
-)
+from .cohomology import harmonic_space, hodge_check
 from .inclusions import (
     GradedInclusion,
     build_phi_cr_co,
@@ -31,7 +26,6 @@ from .jets import Jet
 from .charts import CurvatureData, MetricChart, VectorFieldOnChart
 
 __all__ = [
-    "Cochain",
     "CurvatureData",
     "ExactMatrix",
     "GradedInclusion",
@@ -40,7 +34,6 @@ __all__ = [
     "MetricChart",
     "Quaternion",
     "VectorFieldOnChart",
-    "bracket_tensor_id",
     "build_chain",
     "build_co",
     "build_cr",

@@ -90,9 +90,8 @@ def suite_cohomology(n, progress=None):
         contained = (
             all(coh.contained_in_wedge_g0(qc, c) for c in basis) if dim else False
         )
-        annihilated = (
-            all(coh.bracket_tensor_id(c).is_zero() for c in basis) if dim else False
-        )
+        # the bracket tensor map Z1 ^ Z2 (x) A -> [Z1, Z2] (x) A is -1/2 part 2
+        annihilated = all(not coh._part2_ints(qc, c) for c in basis) if dim else False
         hom_dims[l] = dim
         rows_h2.append(
             {

@@ -1,23 +1,26 @@
 """Cochain complex of the negative nilpotent part with adjoint values.
 
-Cochains C^n(g_-, g) are stored sparsely: strictly increasing tuples of
-minus-basis indices mapped to value vectors over the full basis
-(antisymmetry is structural).  Every operator acts on integer multiples
-of per-algebra structure tables (``_IntTables``).  On a homogeneity
-block the differential (the Chevalley-Eilenberg formula) and the
-codifferential (the Lie homology boundary of p_+ on Lambda^n p_+ (x) g,
-the wedge picture) are assembled once as integer columns, and the
-Kostant Laplacian is composed from them.  On C^2 both parts of the
-dual-basis codifferential ((d*phi)_1 - 1/2 (d*phi)_2) act on integer
-cochains (``_part1_ints``, ``_part2_ints_at``) for the inclusion checks.
-The rational per-cochain forms of these operators live with the tests,
-as the reference the integer columns are checked against.
+Cochains C^n(g_-, g) have one format: integer coefficient dicts
+{key: {m: int}}, strictly increasing tuples of minus-basis indices
+mapped to zero-free value vectors over the full basis (antisymmetry is
+structural).  Every operator acts on integer multiples of per-algebra
+structure tables (``_IntTables``).  On a homogeneity block the
+differential (the Chevalley-Eilenberg formula) and the codifferential
+(the Lie homology boundary of p_+ on Lambda^n p_+ (x) g, the wedge
+picture) are assembled once as integer columns.  d* is Kostant's
+adjoint of d, so the harmonic space ker(box) of the Kostant Laplacian
+is ker d cap ker d*, the kernel of the stacked rows of both.  On C^2
+both parts of the dual-basis codifferential ((d*phi)_1 - 1/2 (d*phi)_2)
+act on integer cochains (``_part1_ints``, ``_part2_ints_at``) for the
+inclusion checks.  The rational per-cochain forms of these operators,
+and the composed Laplacian, live with the tests, as the reference the
+integer columns are checked against.
 
 Sign conventions: the identification of C^2 with Lambda^2 p_+ (x) g
 carries a global factor -1 (and C^3 a factor +1) so that the wedge
 boundary reproduces the dual-basis codifferential exactly and the
-Hodge decomposition of the Kostant Laplacian verifies; the kernel
-statements are insensitive to these factors.
+Hodge decomposition verifies; the kernel statements are insensitive to
+these factors.
 """
 
 from __future__ import annotations
@@ -25,50 +28,16 @@ from __future__ import annotations
 import random
 import weakref
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import comb, lcm
 from typing import NamedTuple
 
 from .exact import _add_scaled, kernel_basis
-from .gradedlie import GradedLieAlgebra
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 # identification signs between C^n(g_-, g) and Lambda^n p_+ (x) g
 _WEDGE_SIGN = {1: 1, 2: -1, 3: 1}
-
-
-class Cochain:
-    """Element of C^n(g_-, g) with exact coefficients."""
-
-    __slots__ = ("alg", "degree", "coeffs")
-
-    def __init__(self, alg: GradedLieAlgebra, degree: int, coeffs=None):
-        self.alg = alg
-        self.degree = degree
-        self.coeffs = {}
-        if coeffs:
-            for key, vec in coeffs.items():
-                v = {m: _F0 + c for m, c in vec.items() if c}
-                if v:
-                    self.coeffs[tuple(key)] = v
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def add_term(self, key, vec, scale=_F1):
-        if not vec:
-            return
-        tgt = self.coeffs.setdefault(key, {})
-        _add_scaled(tgt, vec, scale)
-        if not tgt:
-            del self.coeffs[key]
-
-def _cochain(alg, degree, coeffs):
-    """A Cochain over coeffs that already hold nonzero Fractions only."""
-    out = Cochain(alg, degree)
-    out.coeffs = coeffs
-    return out
 
 
 def _insert_sorted(tup, x):
@@ -102,7 +71,6 @@ class _Tables(NamedTuple):
 
     minus: list  # minus-basis indices
     pos_of: dict  # minus index -> its position t
-    pair_brackets: dict  # (s, t), s < t -> {pos: B([e^s, e^t], e_minus[pos])}
     ints: _IntTables
 
 
@@ -115,45 +83,35 @@ def _tables(alg) -> _Tables:
     if tables is not None:
         return tables
     minus, duals = alg.dual_basis()
-    pair_brackets = {}
-    for i in range(len(duals)):
-        for j in range(i + 1, len(duals)):
-            br = alg.bracket_vec(duals[i], duals[j])
-            exp = {}
-            for t, m in enumerate(minus):
-                val = alg.killing_vec(br, {m: _F1})
-                if val:
-                    exp[t] = val
-            if exp:
-                pair_brackets[(i, j)] = exp
-    tables = _Tables(
-        minus,
-        {m: t for t, m in enumerate(minus)},
-        pair_brackets,
-        _int_tables(alg, minus, duals, pair_brackets),
-    )
+    tables = _Tables(minus, {m: t for t, m in enumerate(minus)}, _int_tables(alg, minus, duals))
     _TABLES[alg] = tables
     return tables
 
 
-def _int_tables(alg, minus, duals, pair_brackets):
+def _int_tables(alg, minus, duals):
     left = [
         [(x, br) for x in minus if (br := alg.bracket_indices(x, m))]
         for m in range(alg.dim)
     ]
     # [e_a, e_b] for a < b in g_-, by the minus index it reaches
     br_to_minus = {}
-    for ia, a in enumerate(minus):
-        for b in minus[ia + 1:]:
-            for m, c in alg.bracket_indices(a, b).items():
-                br_to_minus.setdefault(m, []).append((a, b, c))
+    for a, b in combinations(minus, 2):
+        for m, c in alg.bracket_indices(a, b).items():
+            br_to_minus.setdefault(m, []).append((a, b, c))
     # dual_brackets[i][t] = [e_i, e^t]
     dual_brackets = [
         [alg.bracket_vec({i: _F1}, dual) for dual in duals] for i in range(alg.dim)
     ]
+    # B([e^a, e^b], e_x) for a < b and x in g_-
+    pairs = {}
+    for s, t in combinations(range(len(minus)), 2):
+        br = alg.bracket_vec(duals[s], duals[t])
+        exp = {x: val for x in minus if (val := alg.killing_vec(br, {x: _F1}))}
+        if exp:
+            pairs[(minus[s], minus[t])] = exp
     d_scale = _denominator_lcm(br for row in left for _, br in row)
     c_scale = _denominator_lcm(
-        [br for row in dual_brackets for br in row] + list(pair_brackets.values())
+        [br for row in dual_brackets for br in row] + list(pairs.values())
     )
     return _IntTables(
         d_scale,
@@ -164,10 +122,7 @@ def _int_tables(alg, minus, duals, pair_brackets):
         },
         c_scale,
         [[_scaled(br, c_scale) for br in row] for row in dual_brackets],
-        {
-            (minus[s], minus[t]): {minus[p]: _times(c, c_scale) for p, c in exp.items()}
-            for (s, t), exp in pair_brackets.items()
-        },
+        {key: _scaled(exp, c_scale) for key, exp in pairs.items()},
     )
 
 
@@ -186,12 +141,6 @@ def _times(c, scale) -> int:
 
 def _scaled(vec, scale):
     return {k: _times(c, scale) for k, c in vec.items()}
-
-
-def _integer_coeffs(phi: Cochain):
-    """(L, the coefficients of L * phi as ints), L the lcm of their denominators."""
-    scale = _denominator_lcm(phi.coeffs.values())
-    return scale, {key: _scaled(vec, scale) for key, vec in phi.coeffs.items()}
 
 
 def _part1_ints(alg, coeffs):
@@ -252,43 +201,17 @@ def _codifferential_ints(alg, coeffs):
     return out
 
 
-def bracket_tensor_id(phi: Cochain) -> Cochain:
-    """Wedge-picture map Z1 ^ Z2 (x) A -> [Z1, Z2] (x) A on C^2.
-
-    Equals -1/2 of the codifferential's second part under the duality
-    (documented sign convention).
-    """
-    if phi.degree != 2:
-        raise ValueError("degree-2 cochains only")
-    alg = phi.alg
-    tables = _tables(alg)
-    out = Cochain(alg, 1)
-    for (a, b), vec in phi.coeffs.items():
-        i, j = tables.pos_of[a], tables.pos_of[b]
-        exp = tables.pair_brackets.get((min(i, j), max(i, j)))
-        if not exp:
-            continue
-        flip = 1 if i < j else -1
-        for pos, c in exp.items():
-            out.add_term((tables.minus[pos],), vec, c * flip)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# homogeneity blocks, Laplacian, harmonic spaces
+# homogeneity blocks and harmonic spaces
 # ---------------------------------------------------------------------------
 
 
 def cochain_space_dim(alg, n):
-    from math import comb
-
     return comb(len(alg.minus_indices()), n) * alg.dim
 
 
 def block_basis(alg, n, l):
     """Ordered (key, value-index) pairs of the homogeneity-l block of C^n."""
-    from itertools import combinations
-
     minus = alg.minus_indices()
     out = []
     for key in combinations(minus, n):
@@ -300,8 +223,6 @@ def block_basis(alg, n, l):
 
 
 def homogeneity_range(alg, n):
-    from itertools import combinations
-
     minus = alg.minus_indices()
     degs = sorted({alg.degrees[m] for m in range(alg.dim)})
     sums = sorted({sum(alg.degrees[i] for i in key) for key in combinations(minus, n)})
@@ -420,53 +341,43 @@ def _codifferential_columns(tables, n, basis, index):
     return cols
 
 
-def _laplacian_rows(blk: _Block):
-    """Rows of d d* + d* d on the block, composed column by column in int."""
-    rows = [{} for _ in blk.src]
-    for c in range(len(blk.src)):
-        col = {}
-        for left, right in ((blk.d_down, blk.c_src[c]), (blk.c_up, blk.d_src[c])):
-            for mid, v in right.items():
-                for r, w in left[mid].items():
-                    col[r] = col.get(r, 0) + v * w
-        for r, v in col.items():
-            if v:
-                rows[r][c] = v
-    return rows
+def _harmonic_vectors(blk: _Block):
+    """Primitive integer kernel vectors of the stacked rows of d and d* on the block.
 
-
-def laplacian_block(alg, n, l):
-    """Sparse integer rows of the Kostant Laplacian on the (n, l) block.
-
-    The rows are d_scale * c_scale times the rational Laplacian's, a
-    positive multiple, so the kernel and the primitive rows are the same.
+    d* is adjoint to d, so ker d cap ker d* is the kernel of the Kostant
+    Laplacian d d* + d* d; the scales d_scale and c_scale do not move it.
     """
-    return _laplacian_rows(_block_operators(alg, n, l))
+    rows = [{} for _ in blk.up] + [{} for _ in blk.down]
+    for c, (d_col, c_col) in enumerate(zip(blk.d_src, blk.c_src)):
+        for r, v in d_col.items():
+            rows[r][c] = v
+        for r, v in c_col.items():
+            rows[len(blk.up) + r][c] = v
+    return kernel_basis(rows, len(blk.src))
 
 
 def harmonic_space(alg, n, l):
-    """Exact kernel of the Laplacian on the homogeneity-l block of C^n.
+    """Exact kernel of the Kostant Laplacian on the homogeneity-l block of C^n,
+    computed as ker d cap ker d*.
 
-    Returns (dimension, basis cochains, block basis).
+    Returns (dimension, basis cochains as {key: {m: int}}, block basis);
+    each basis cochain is a primitive integer kernel vector of the block.
     """
-    src = block_basis(alg, n, l)
-    if not src:
-        return 0, [], src
-    rows = laplacian_block(alg, n, l)
-    vecs = kernel_basis(rows, len(src))
+    blk = _block_operators(alg, n, l)
+    vecs = _harmonic_vectors(blk)
     cochains = []
     for vec in vecs:
-        c = Cochain(alg, n)
+        coeffs = {}
         for t, v in vec.items():
-            key, m = src[t]
-            c.add_term(key, {m: v})
-        cochains.append(c)
-    return len(vecs), cochains, src
+            key, m = blk.src[t]
+            coeffs.setdefault(key, {})[m] = v
+        cochains.append(coeffs)
+    return len(vecs), cochains, blk.src
 
 
-def contained_in_wedge_g0(alg, coch: Cochain) -> bool:
-    """True when every term has both inputs in g_-1 and value in g_0."""
-    for (a, b), vec in coch.coeffs.items():
+def contained_in_wedge_g0(alg, coeffs) -> bool:
+    """True when every term of a C^2 cochain has both inputs in g_-1 and value in g_0."""
+    for (a, b), vec in coeffs.items():
         if alg.degrees[a] != -1 or alg.degrees[b] != -1:
             return False
         if any(alg.degrees[m] != 0 for m in vec):
@@ -484,7 +395,8 @@ def hodge_check(alg, n):
     """Exact Hodge-decomposition check on C^n, blockwise by homogeneity.
 
     Verifies dim im(del) + dim ker(box) + dim im(cod) = dim C^n and the
-    pairwise triviality of intersections, using exact ranks.
+    pairwise triviality of intersections, using exact ranks; ker(box) is
+    read as ker(del) cap ker(cod), as in harmonic_space.
     """
     total = cochain_space_dim(alg, n)
     covered = 0
@@ -495,7 +407,7 @@ def hodge_check(alg, n):
         blk = _block_operators(alg, n, l)
         dim = len(blk.src)
         covered += dim
-        hvecs = kernel_basis(_laplacian_rows(blk), dim)
+        hvecs = _harmonic_vectors(blk)
         hdim = len(hvecs)
         im_del = [v for v in blk.d_down if v]
         im_cod = [v for v in blk.c_up if v]
@@ -528,24 +440,13 @@ def hodge_check(alg, n):
     return {"degree": n, "dim_total": total, "blocks": per_block, "pass": ok}
 
 
-def random_cochain(alg, n, seed, lo=-3, hi=3, value_indices=None, keys=None):
-    """Deterministic small-integer cochain for seeded tests.
-
-    ``keys``, when given, are distinct sorted index tuples, as the
-    combinations drawn by default are.
-    """
-    from itertools import combinations
-
+def random_cochain(alg, n, seed, lo=-3, hi=3, value_indices=None):
+    """Deterministic small-integer C^n coefficients {key: {m: int}} for seeded checks."""
     rng = random.Random(seed)
-    minus = alg.minus_indices()
     values = list(range(alg.dim)) if value_indices is None else list(value_indices)
     coeffs = {}
-    for key in keys if keys is not None else combinations(minus, n):
-        vec = {}
-        for m in values:
-            c = rng.randint(lo, hi)
-            if c:
-                vec[m] = Fraction(c)
+    for key in combinations(alg.minus_indices(), n):
+        vec = {m: c for m in values if (c := rng.randint(lo, hi))}
         if vec:
-            coeffs[tuple(key)] = vec
-    return _cochain(alg, n, coeffs)
+            coeffs[key] = vec
+    return coeffs

@@ -6,8 +6,10 @@ matrices of the smaller algebra in the basis of the larger one, so a
 the structural conditions a Fefferman-type inclusion must satisfy,
 induces curvature-type cochains along an inclusion, and verifies the
 two codifferential transfer identities and the normality-transfer
-consequences, all in exact arithmetic: the transfer checks run on
-integer multiples of the rational maps (``_IntTransfer``).
+consequences, all in exact arithmetic.  Cochains enter in the one format
+of ``qcfeff.cohomology``, integer coefficient dicts {(a, b): {m: int}},
+and the transfer checks run on integer multiples of the rational maps
+(``_IntTransfer``).
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .cohomology import (
-    Cochain,
     _codifferential_ints,
     _denominator_lcm,
-    _integer_coeffs,
     _part1_ints,
     _part2_ints,
     _part2_ints_at,
@@ -393,23 +393,23 @@ def check_structural_conditions(phi: GradedInclusion) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def del1_identity_check(phi: GradedInclusion, kappa: Cochain) -> dict:
+def del1_identity_check(phi: GradedInclusion, coeffs) -> dict:
     """Exact residuals of the first transfer identity on every g_- basis.
 
-    c phi(part1(kappa)(x)) = proj(part1(tilde)(phi_-(x))) with tilde the
-    induced cochain; both sides lie in phi(g), so they are compared in
-    source coordinates.  Everything runs on integer multiples of the
+    c phi(part1(kappa)(x)) = proj(part1(tilde)(phi_-(x))) for the integer
+    C^2 coefficients kappa = ``coeffs`` ({(a, b): {m: int}}), with tilde
+    the induced cochain; both sides lie in phi(g), so they are compared
+    in source coordinates.  Everything runs on integer multiples of the
     rational values (see _IntTransfer, cohomology._IntTables), and the
     two sides are compared by cross-multiplying their scales.
     """
     src, tgt = phi.source, phi.target
     data = phi._transfer()
-    _, coeffs = _integer_coeffs(kappa)
     part1 = _part1_ints(src, coeffs)
     tilde_part1 = _part1_ints(tgt, _induce_ints(data, coeffs))
     c = phi.killing_constant
-    # part1 is c_src L times part 1 of kappa, coords (below) is
-    # proj_den den^2 c_tgt xi_den^2 L times the projected coordinates, and
+    # part1 is c_src times part 1 of kappa, coords (below) is
+    # proj_den den^2 c_tgt xi_den^2 times the projected coordinates, and
     # c = c_num / c_den: the sides agree when part1 / lhs_scale == coords / rhs_scale
     lhs_scale = c.denominator * _tables(src).ints.c_scale
     rhs_scale = (
@@ -433,16 +433,16 @@ def del1_identity_check(phi: GradedInclusion, kappa: Cochain) -> dict:
     }
 
 
-def del2_identity_check(phi: GradedInclusion, kappa: Cochain, unit="i") -> dict:
-    """Exact three-way check of the second transfer identity at a corner."""
+def del2_identity_check(phi: GradedInclusion, coeffs, unit="i") -> dict:
+    """Exact three-way check of the second transfer identity at a corner,
+    for integer C^2 coefficients {(a, b): {m: int}}."""
     src, tgt = phi.source, phi.target
     xi_idx = _corner_index(src, unit)
     data = phi._transfer()
-    _, coeffs = _integer_coeffs(kappa)
     tilde = _induce_ints(data, coeffs)
     c = phi.killing_constant
-    # lhs is c_src L den times phi(part2(kappa)(xi)); mid and rhs are
-    # c_tgt xi_den^2 den^2 L times part2(tilde) at phi(xi) and at its
+    # lhs is c_src den times phi(part2(kappa)(xi)); mid and rhs are
+    # c_tgt xi_den^2 den^2 times part2(tilde) at phi(xi) and at its
     # degree -2 part; with c = c_num / c_den, 2c phi(part2(kappa)(xi))
     # equals part2(tilde)(phi(xi)) when lhs / lhs_scale == mid / mid_scale
     lhs = _apply_ints(data.img, _part2_ints_at(src, coeffs, {xi_idx: 1}))
@@ -530,7 +530,7 @@ def normality_transfer_check(qc, phi1, phic) -> dict:
 def normality_negative_control(qc, phi1, seed=5) -> dict:
     """A generic g_0-valued cochain with nonzero part1 must fail upstairs."""
     g0 = qc.by_degree[0]
-    _, coeffs = _integer_coeffs(random_cochain(qc, 2, seed, value_indices=g0))
+    coeffs = random_cochain(qc, 2, seed, value_indices=g0)
     part1_nonzero = bool(_part1_ints(qc, coeffs))
     failed = not _induced_closed(phi1, coeffs)
     return {

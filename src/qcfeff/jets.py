@@ -92,7 +92,9 @@ class JetSpace:
                 fac[idx] = f
             self._tensor_index[r] = pos, fac
         pos, fac = self._tensor_index[r]
-        return coef[..., pos] * fac
+        out = coef[..., pos]
+        out *= fac  # in place: no second array, the gather's layout kept
+        return out
 
     def mul(self, ca, cb):
         return np.bincount(

@@ -13,8 +13,15 @@ elements.  They read an algebra only through its brackets, Killing form
 and dual basis, and never through the integer tables, so the tests
 compare the engine against a separate reference.
 
-Every function acts on ``Cochain.coeffs``: strictly increasing tuples
-of minus-basis indices mapped to zero-free value vectors.
+Rational cochains exist only here: ``Cochain`` holds strictly
+increasing tuples of minus-basis indices mapped to zero-free Fraction
+value vectors, and ``integer_coeffs`` turns one into the integer
+coefficient dicts {key: {m: int}} that the engine reads.  Integer draws
+of ``qcfeff.cohomology.random_cochain`` enter as ``Cochain(alg, n,
+coeffs)``, as ``draw`` does.  ``laplacian_rows`` composes the Kostant Laplacian
+d d* + d* d of a homogeneity block from ``differential`` and
+``codifferential_wedge``, the reference for the engine's harmonic
+spaces, which it computes as ker d cap ker d* instead.
 
 ``curvature_reference`` is the numerical stack's reference: the full
 curvature pipeline of one point, the m^5 second derivatives of the
@@ -28,16 +35,57 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import NamedTuple
 
 import numpy as np
 
-from qcfeff.cohomology import _WEDGE_SIGN, Cochain, _insert_sorted
+from qcfeff.cohomology import _WEDGE_SIGN, _insert_sorted, block_basis, random_cochain
 from qcfeff.exact import SpanSolver, _add_scaled
 from qcfeff.inclusions import _holonomy_solutions, _normal_torsionfree_solutions, _pair
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+class Cochain:
+    """Element of C^n(g_-, g) with exact coefficients."""
+
+    __slots__ = ("alg", "degree", "coeffs")
+
+    def __init__(self, alg, degree: int, coeffs=None):
+        self.alg = alg
+        self.degree = degree
+        self.coeffs = {}
+        if coeffs:
+            for key, vec in coeffs.items():
+                v = {m: _F0 + c for m, c in vec.items() if c}
+                if v:
+                    self.coeffs[tuple(key)] = v
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def add_term(self, key, vec, scale=_F1):
+        if not vec:
+            return
+        tgt = self.coeffs.setdefault(key, {})
+        _add_scaled(tgt, vec, scale)
+        if not tgt:
+            del self.coeffs[key]
+
+
+def draw(alg, n, seed, **kwargs) -> Cochain:
+    """The seeded integer draw ``random_cochain(alg, n, seed, ...)`` as a Cochain."""
+    return Cochain(alg, n, random_cochain(alg, n, seed, **kwargs))
+
+
+def integer_coeffs(phi: Cochain):
+    """(L, the coefficients of L * phi as ints), L the lcm of their denominators."""
+    scale = lcm(*(c.denominator for vec in phi.coeffs.values() for c in vec.values()))
+    return scale, {
+        key: {m: int(c * scale) for m, c in vec.items()} for key, vec in phi.coeffs.items()
+    }
 
 
 class _Tables(NamedTuple):
@@ -122,10 +170,6 @@ def add(phi: Cochain, psi: Cochain, r=_F1) -> Cochain:
     for key, vec in psi.coeffs.items():
         out.add_term(key, vec, _F0 + r)
     return out
-
-
-def scale(phi: Cochain, r) -> Cochain:
-    return add(Cochain(phi.alg, phi.degree), phi, r)
 
 
 def equal(phi: Cochain, psi: Cochain) -> bool:
@@ -255,6 +299,20 @@ def codiff_part2_at(phi: Cochain, yvec):
     return out
 
 
+def part2(phi: Cochain) -> Cochain:
+    """Second part of the dual-basis codifferential on C^2.
+
+    Its value at Y is the sum over alpha of phi([Y, e^alpha]_-, e_alpha);
+    the wedge-picture map Z1 ^ Z2 (x) A -> [Z1, Z2] (x) A is -1/2 of it.
+    """
+    out = Cochain(phi.alg, 1)
+    for m in _tables(phi.alg).minus:
+        vec = codiff_part2_at(phi, {m: _F1})
+        if vec:
+            out.add_term((m,), vec)
+    return out
+
+
 def codifferential_minus(phi: Cochain):
     """Both parts of the dual-basis codifferential on C^2.
 
@@ -263,12 +321,7 @@ def codifferential_minus(phi: Cochain):
     """
     if phi.degree != 2:
         raise ValueError("codifferential_minus expects a degree-2 cochain")
-    part2 = Cochain(phi.alg, 1)
-    for m in _tables(phi.alg).minus:
-        vec = codiff_part2_at(phi, {m: _F1})
-        if vec:
-            part2.add_term((m,), vec)
-    return part1(phi), part2
+    return part1(phi), part2(phi)
 
 
 def codifferential(phi: Cochain) -> Cochain:
@@ -333,6 +386,27 @@ def codifferential_wedge(phi: Cochain) -> Cochain:
     for key, vec in _wedge_boundary(phi.alg, coeffs).items():
         out.add_term(tuple(tables.minus[t] for t in key), vec, sign_out)
     return out
+
+
+def laplacian_rows(alg, n, l):
+    """Rows of the Kostant Laplacian d d* + d* d on the homogeneity-l block of C^n.
+
+    Composed one basis cochain at a time from ``differential`` and
+    ``codifferential_wedge``; returns (rational rows over the block
+    basis, the block basis).
+    """
+    src = block_basis(alg, n, l)
+    index = {km: t for t, km in enumerate(src)}
+    rows = [{} for _ in src]
+    for col, (key, m) in enumerate(src):
+        single = Cochain(alg, n, {key: {m: _F1}})
+        box = add(
+            differential(codifferential_wedge(single)), codifferential_wedge(differential(single))
+        )
+        for tkey, vec in box.coeffs.items():
+            for tm, c in vec.items():
+                rows[index[(tkey, tm)]][col] = c
+    return rows, src
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ _CALLED_FROM_OUTSIDE = {("cli.py", "_Parser.error")}
 # the integer machinery that the oracle is a separate reference for
 _INTEGER_MACHINERY = {
     "ints",
+    "_block_operators",
+    "harmonic_space",
     "_part1_ints",
     "_part2_ints",
     "_part2_ints_at",
