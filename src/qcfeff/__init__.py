@@ -1,12 +1,13 @@
 """Exact and numerical verification suites for qc Fefferman structures.
 
-The package splits into an exact layer (scalar/matrix arithmetic,
-graded Lie algebras, Lie algebra cohomology, graded inclusions) and a
+The package splits into an exact layer (quaternion scalars and exact
+linear algebra, graded Lie algebras with their basis matrices held as
+entry dicts, Lie algebra cohomology, graded inclusions) and a
 numerical layer (jets, chart calculus, model geometries), glued by the
 report-generating CLI in :mod:`qcfeff.cli`.
 """
 
-from .exact import ExactMatrix, Quaternion, kernel_basis, realify_C, realify_H
+from .exact import kernel_basis
 from .gradedlie import (
     GradedLieAlgebra,
     build_chain,
@@ -27,12 +28,10 @@ from .charts import CurvatureData, MetricChart, VectorFieldOnChart
 
 __all__ = [
     "CurvatureData",
-    "ExactMatrix",
     "GradedInclusion",
     "GradedLieAlgebra",
     "Jet",
     "MetricChart",
-    "Quaternion",
     "VectorFieldOnChart",
     "build_chain",
     "build_co",
@@ -45,8 +44,6 @@ __all__ = [
     "harmonic_space",
     "hodge_check",
     "kernel_basis",
-    "realify_C",
-    "realify_H",
 ]
 
 __version__ = "0.1.0"

@@ -234,7 +234,8 @@ def homogeneity_range(alg, n):
 
 
 class _Block(NamedTuple):
-    """Bases of the (n, l) block and its neighbours, and the integer operators.
+    """Bases of the (n, l) block and its neighbours, and the integer operators
+    out of the block.
 
     Each operator is a list of sparse {row: int} columns, one per element
     of its source basis; every d column is d_scale times the rational one
@@ -244,26 +245,31 @@ class _Block(NamedTuple):
     src: list  # block basis of C^n
     down: list  # block basis of C^(n-1)
     up: list  # block basis of C^(n+1)
-    d_down: list  # d: C^(n-1) -> C^n, rows over src
     c_src: list  # d*: C^n -> C^(n-1), rows over down
     d_src: list  # d: C^n -> C^(n+1), rows over up
-    c_up: list  # d*: C^(n+1) -> C^n, rows over src
 
 
 def _block_operators(alg, n, l) -> _Block:
     tables = _tables(alg)
     src, down, up = (block_basis(alg, k, l) for k in (n, n - 1, n + 1))
-    idx_src, idx_down, idx_up = (
-        {km: t for t, km in enumerate(basis)} for basis in (src, down, up)
-    )
+    idx_down, idx_up = ({km: t for t, km in enumerate(basis)} for basis in (down, up))
     return _Block(
         src,
         down,
         up,
-        _differential_columns(tables, down, idx_src),
         _codifferential_columns(tables, n, src, idx_down),
         _differential_columns(tables, src, idx_up),
-        _codifferential_columns(tables, n + 1, up, idx_src),
+    )
+
+
+def _operators_into(alg, n, blk: _Block):
+    """Columns of d: C^(n-1) -> C^n and d*: C^(n+1) -> C^n into the block,
+    rows over blk.src, with the scales of _Block."""
+    tables = _tables(alg)
+    idx_src = {km: t for t, km in enumerate(blk.src)}
+    return (
+        _differential_columns(tables, blk.down, idx_src),
+        _codifferential_columns(tables, n + 1, blk.up, idx_src),
     )
 
 
@@ -403,14 +409,14 @@ def hodge_check(alg, n):
     per_block = {}
     ok = True
     for l in homogeneity_range(alg, n):
-        # one assembly per block serves im(del), im(cod) and ker(box)
         blk = _block_operators(alg, n, l)
         dim = len(blk.src)
         covered += dim
         hvecs = _harmonic_vectors(blk)
         hdim = len(hvecs)
-        im_del = [v for v in blk.d_down if v]
-        im_cod = [v for v in blk.c_up if v]
+        d_down, c_up = _operators_into(alg, n, blk)
+        im_del = [v for v in d_down if v]
+        im_cod = [v for v in c_up if v]
         r_del = _rank_of_vectors(im_del, dim)
         r_cod = _rank_of_vectors(im_cod, dim)
         segs = {

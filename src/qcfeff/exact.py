@@ -1,15 +1,11 @@
-"""Exact scalar and matrix arithmetic over arbitrary-precision rationals.
+"""Exact scalars and exact linear algebra over arbitrary-precision rationals.
 
-Scalars are quaternions with int or Fraction components (an int stays
-an int, so integer data never enters Fraction arithmetic); complex and rational
-values are quaternions whose upper components vanish.  Matrices carry a
-``kind`` tag ("rational" | "complex" | "quaternion") restricting which
-components their entries may use, so the realification maps can dispatch
-on it.  Everything here is immutable after construction and pure.
-
-Conventions: quaternions act as left scalar matrices on column vectors
-(right H-module coordinates); i*j = k.  A quaternion a+bi+cj+dk splits
-over C as U + jV with U = a+bi, V = c-di.
+A scalar is a quaternion a + bi + cj + dk held as its component 4-tuple
+(a, b, c, d) of ints or Fractions (an int stays an int, so integer data
+never enters Fraction arithmetic); complex and rational values are the
+4-tuples whose upper components vanish.  Convention: i*j = k.  On top of
+that: certified null spaces of rational systems (``kernel_basis``) and
+coordinates in a fixed span (``SpanSolver``), over sparse dicts.
 """
 
 from __future__ import annotations
@@ -24,8 +20,6 @@ except ImportError:  # gmpy2 is optional (the "gmpy" extra); plain int is exact 
     mpz = int
 
 _F1 = Fraction(1)
-
-KINDS = ("rational", "complex", "quaternion")
 
 
 def _exact(x):
@@ -72,213 +66,13 @@ def quat_product(p, q):
     )
 
 
-class Quaternion:
-    """Exact quaternion a + b*i + c*j + d*k over int or Fraction components."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = _exact(a)
-        self.b = _exact(b)
-        self.c = _exact(c)
-        self.d = _exact(d)
-
-    @property
-    def comps(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def __add__(self, o):
-        o = as_quat(o)
-        return Quaternion(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
-
-    def __sub__(self, o):
-        o = as_quat(o)
-        return Quaternion(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
-
-    def __neg__(self):
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
-
-    def __mul__(self, o):
-        return Quaternion(*quat_product(self.comps, as_quat(o).comps))
-
-    __radd__ = __add__
-
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
-
-    def scale(self, r) -> "Quaternion":
-        return Quaternion(self.a * r, self.b * r, self.c * r, self.d * r)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
-
-    # complex split q = U + jV, U = a+bi, V = c-di
-    def complex_split(self):
-        return (Quaternion(self.a, self.b), Quaternion(self.c, -self.d))
-
-    def __eq__(self, o):
-        if not isinstance(o, Quaternion):
-            o = as_quat(o)
-        return self.comps == o.comps
+def _quat_conj(q):
+    """Components of the conjugate of a quaternion component 4-tuple."""
+    a, b, c, d = q
+    return (a, -b, -c, -d)
 
 
-def as_quat(x) -> Quaternion:
-    if isinstance(x, Quaternion):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Quaternion(x)
-    raise TypeError("cannot coerce %r to Quaternion" % (x,))
-
-
-Q_ONE = Quaternion(1)
-Q_I = Quaternion(0, 1)
-Q_J = Quaternion(0, 0, 1)
-Q_K = Quaternion(0, 0, 0, 1)
-Q_UNITS = {"1": Q_ONE, "i": Q_I, "j": Q_J, "k": Q_K}
-
-
-class ExactMatrix:
-    """Immutable sparse exact matrix of homogeneous scalar kind."""
-
-    __slots__ = ("rows", "cols", "kind", "entries", "_row_index")
-
-    def __init__(self, rows, cols, entries=None, kind="rational"):
-        if kind not in KINDS:
-            raise ValueError("bad kind %r" % kind)
-        self.rows = rows
-        self.cols = cols
-        self.kind = kind
-        ent = {}
-        if entries:
-            for (i, j), v in entries.items():
-                v = as_quat(v)
-                if not v.is_zero():
-                    ent[(i, j)] = v
-        self.entries = ent
-        self._row_index = None
-
-    @classmethod
-    def zero(cls, rows, cols, kind="rational"):
-        return cls(rows, cols, {}, kind)
-
-    def _rows_of(self):
-        if self._row_index is None:
-            idx = {}
-            for (i, j), v in self.entries.items():
-                idx.setdefault(i, []).append((j, v))
-            self._row_index = idx
-        return self._row_index
-
-    def __add__(self, o):
-        self._check_shape(o)
-        ent = dict(self.entries)
-        for k, v in o.entries.items():
-            ent[k] = ent.get(k, Quaternion()) + v
-        return ExactMatrix(self.rows, self.cols, ent, self._join_kind(o))
-
-    def __sub__(self, o):
-        self._check_shape(o)
-        ent = dict(self.entries)
-        for k, v in o.entries.items():
-            ent[k] = ent.get(k, Quaternion()) - v
-        return ExactMatrix(self.rows, self.cols, ent, self._join_kind(o))
-
-    def scale(self, r):
-        return ExactMatrix(
-            self.rows, self.cols, {k: v.scale(r) for k, v in self.entries.items()}, self.kind
-        )
-
-    def __mul__(self, o):
-        if not isinstance(o, ExactMatrix):
-            return self.scale(o)
-        if self.cols != o.rows:
-            raise ValueError("shape mismatch %sx%s @ %sx%s" % (self.rows, self.cols, o.rows, o.cols))
-        orows = o._rows_of()
-        acc = {}
-        for (i, k), v in self.entries.items():
-            row = orows.get(k)
-            if not row:
-                continue
-            for j, w in row:
-                key = (i, j)
-                prod = v * w
-                if key in acc:
-                    acc[key] = acc[key] + prod
-                else:
-                    acc[key] = prod
-        return ExactMatrix(self.rows, o.cols, acc, self._join_kind(o))
-
-    def transpose(self):
-        return ExactMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}, self.kind
-        )
-
-    def conj(self):
-        return ExactMatrix(
-            self.rows, self.cols, {k: v.conj() for k, v in self.entries.items()}, self.kind
-        )
-
-    def trace(self) -> Quaternion:
-        t = Quaternion()
-        for (i, j), v in self.entries.items():
-            if i == j:
-                t = t + v
-        return t
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, o):
-        return (
-            isinstance(o, ExactMatrix)
-            and self.rows == o.rows
-            and self.cols == o.cols
-            and (self - o).is_zero()
-        )
-
-    def _check_shape(self, o):
-        if self.rows != o.rows or self.cols != o.cols:
-            raise ValueError("shape mismatch")
-
-    def _join_kind(self, o):
-        return self.kind if KINDS.index(self.kind) >= KINDS.index(o.kind) else o.kind
-
-
-def realify_H(m: ExactMatrix) -> ExactMatrix:
-    """Complex 2Nx2N block image [[U, -conj(V)], [V, conj(U)]] of M = U + jV."""
-    if m.kind == "rational":
-        m = ExactMatrix(m.rows, m.cols, m.entries, "quaternion")
-    if m.kind != "quaternion" and m.kind != "complex":
-        raise ValueError("realify_H expects quaternionic entries")
-    n, p = m.rows, m.cols
-    ent = {}
-    for (i, j), q in m.entries.items():
-        u, v = q.complex_split()
-        if not u.is_zero():
-            ent[(i, j)] = u
-            ent[(n + i, p + j)] = u.conj()
-        if not v.is_zero():
-            ent[(i, p + j)] = -v.conj()
-            ent[(n + i, j)] = v
-    return ExactMatrix(2 * n, 2 * p, ent, "complex")
-
-
-def realify_C(m: ExactMatrix) -> ExactMatrix:
-    """Real 2Nx2N block image [[A, -B], [B, A]] of M = A + iB."""
-    if m.kind == "quaternion":
-        raise ValueError("realify_C expects complex entries")
-    n, p = m.rows, m.cols
-    ent = {}
-    for (i, j), q in m.entries.items():
-        if q.c != 0 or q.d != 0:
-            raise ValueError("realify_C expects complex entries")
-        if q.a != 0:
-            ent[(i, j)] = Quaternion(q.a)
-            ent[(n + i, p + j)] = Quaternion(q.a)
-        if q.b != 0:
-            ent[(i, p + j)] = Quaternion(-q.b)
-            ent[(n + i, j)] = Quaternion(q.b)
-    return ExactMatrix(2 * n, 2 * p, ent, "rational")
+Q_UNITS = {"1": (1, 0, 0, 0), "i": (0, 1, 0, 0), "j": (0, 0, 1, 0), "k": (0, 0, 0, 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,29 +9,32 @@ orthonormal middle block.  Elements satisfy  X^t S + S conj(X) = 0
 (plus zero trace in the complex case), and the grading element is
 diag(1, 0, ..., 0, -1).
 
-Basis matrices are chosen with entries among the scalar units, ordered
-by ascending degree and then by a fixed enumeration of entry positions,
-so structure constants are reproducible.  Brackets are multiplied out in
-integers from the matrix units (E_ab E_cd = delta_bc E_ad times the
-quaternion product of the entries).  The Killing form is computed
-intrinsically as trace(ad . ad) on the abstract basis, on the pairs of
-opposite degree: every other pair pairs to 0 by the grading.
+A matrix is a zero-free dict {(row, col): quaternion 4-tuple} (see
+``qcfeff.exact``); quaternions act as left scalar matrices on column
+vectors (right H-module coordinates).  Basis matrices are chosen with
+entries among the scalar units, ordered by ascending degree and then by
+a fixed enumeration of entry positions, so structure constants are
+reproducible; each is checked against the defining identity entry by
+entry.  Brackets are multiplied out in integers from the matrix units
+(E_ab E_cd = delta_bc E_ad times the quaternion product of the entries).
+The Killing form is computed intrinsically as trace(ad . ad) on the
+abstract basis, on the pairs of opposite degree: every other pair pairs
+to 0 by the grading.
+
+The chain sp(n+1,1) < su(2n+2,2) < so(4n+4,4) shares one real ambient:
+realification sends an entry a + bi + cj + dk, split over C as U + jV
+with U = a + bi and V = c - di, to the complex block [[U, -conj V],
+[V, conj U]], and a complex entry A + iB to the real block [[A, -B],
+[B, A]]; a permutation then reorders the doubled coordinates into a Witt
+basis (``witt_double_perm``).  Each step only moves entries to new
+indices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import (
-    ExactMatrix,
-    Quaternion,
-    Q_UNITS,
-    SpanSolver,
-    _add_scaled,
-    quat_product,
-    realify_C,
-    realify_H,
-)
+from .exact import Q_UNITS, SpanSolver, _add_scaled, _quat_conj, quat_product
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -56,15 +59,9 @@ class SingularPairingError(RuntimeError):
     """The Killing pairing between opposite degrees degenerated."""
 
 
-def witt_form(m: int, q: int) -> ExactMatrix:
-    """Form matrix with q hyperbolic pairs (ends) and orthonormal middle."""
-    ent = {}
-    for a in range(m):
-        ent[(a, _witt_tau(m, q, a))] = Quaternion(1)
-    return ExactMatrix(m, m, ent)
-
-
 def _witt_tau(m, q, a):
+    """The partner of a under the Witt form, whose 1s sit at (a, tau(a)):
+    q hyperbolic pairs at the ends and an orthonormal middle."""
     if a < q or a >= m - q:
         return m - 1 - a
     return a
@@ -91,8 +88,43 @@ def witt_double_perm(m: int, q: int):
     return pi
 
 
-def perm_matrix(pi) -> ExactMatrix:
-    return ExactMatrix(len(pi), len(pi), {(t, f): Quaternion(1) for t, f in enumerate(pi)})
+def _permuted(mat, pi):
+    """P M P^t for the permutation matrix P with its 1s at (t, pi[t]):
+    entry (pi[t], pi[s]) moves to (t, s)."""
+    inv = {f: t for t, f in enumerate(pi)}
+    return {(inv[i], inv[j]): x for (i, j), x in mat.items()}
+
+
+def _realify_H(mat, m):
+    """Complex 2m x 2m image [[U, -conj V], [V, conj U]] of an m x m M = U + jV."""
+    out = {}
+    for (i, j), (a, b, c, d) in mat.items():
+        if a or b:
+            out[(i, j)] = (a, b, 0, 0)
+            out[(m + i, m + j)] = (a, -b, 0, 0)
+        if c or d:
+            out[(i, m + j)] = (-c, -d, 0, 0)
+            out[(m + i, j)] = (c, -d, 0, 0)
+    return out
+
+
+def _realify_C(mat, m):
+    """Real 2m x 2m image [[A, -B], [B, A]] of an m x m M = A + iB."""
+    out = {}
+    for (i, j), (a, b, c, d) in mat.items():
+        if c or d:
+            raise ValueError("realify_C expects complex entries")
+        if a:
+            out[(i, j)] = out[(m + i, m + j)] = (a, 0, 0, 0)
+        if b:
+            out[(i, m + j)] = (-b, 0, 0, 0)
+            out[(m + i, j)] = (b, 0, 0, 0)
+    return out
+
+
+def _scaled(x, r):
+    """r times the quaternion 4-tuple x."""
+    return tuple(r * c for c in x)
 
 
 def _diag_weight(m, a):
@@ -108,7 +140,7 @@ def _orbit_partner(m, q, a, b):
 
 
 def _enumerate_basis(kind, m, q):
-    """Yield (label, degree, native ExactMatrix) in canonical order."""
+    """Yield (label, degree, native matrix) in canonical order."""
     units = _UNITS_BY_KIND[kind]
     im_units = _IM_UNITS_BY_KIND[kind]
     by_degree = {}
@@ -131,7 +163,7 @@ def _enumerate_basis(kind, m, q):
             else:
                 for u in units:
                     uq = Q_UNITS[u]
-                    ent = {(a, b): uq, (pa, pb): -uq.conj()}
+                    ent = {(a, b): uq, (pa, pb): _scaled(_quat_conj(uq), -1)}
                     gens.append((f"e({a},{b}){u}", ent))
     # diagonal generators, degree 0
     diag = by_degree.setdefault(0, [])
@@ -140,7 +172,7 @@ def _enumerate_basis(kind, m, q):
         ta = _witt_tau(m, q, a)
         for u in units:
             uq = Q_UNITS[u]
-            ent = {(a, a): uq, (ta, ta): -uq.conj()}
+            ent = {(a, a): uq, (ta, ta): _scaled(_quat_conj(uq), -1)}
             if kind == "complex" and u == "i":
                 trace_carriers.append((f"d({a}){u}", ent, 2))
             else:
@@ -157,33 +189,34 @@ def _enumerate_basis(kind, m, q):
     for idx in range(len(trace_carriers) - 1):
         la, ea, ta = trace_carriers[idx]
         lb, eb, tb = trace_carriers[idx + 1]
-        ent = {}
-        for k, v in ea.items():
-            ent[k] = v.scale(tb)
-        for k, v in eb.items():
-            ent[k] = ent.get(k, Quaternion()) + v.scale(-ta)
+        # the two carriers sit on disjoint diagonal positions
+        ent = {k: _scaled(v, tb) for k, v in ea.items()}
+        ent.update((k, _scaled(v, -ta)) for k, v in eb.items())
         diag.append((f"{la}-{lb}", ent))
-    out = []
-    for deg in sorted(by_degree):
-        for label, ent in by_degree[deg]:
-            out.append((label, deg, ExactMatrix(m, m, ent, kind)))
-    return out
+    return [(label, deg, ent) for deg in sorted(by_degree) for label, ent in by_degree[deg]]
 
 
-def _check_member(kind, m, q, mat: ExactMatrix):
-    s = witt_form(m, q)
-    resid = mat.transpose() * s + s * mat.conj()
-    if not resid.is_zero():
-        raise ClosureError("matrix fails the defining form identity")
-    if kind == "complex" and not mat.trace().is_zero():
-        raise ClosureError("complex matrix not trace free")
+def _check_member(kind, m, q, mat):
+    """X^t S + S conj(X) = 0 for the Witt form S, entry by entry.
+
+    S has its 1s at (a, tau(a)), so the identity reads X[tau(j), tau(i)]
+    = -conj X[i, j]; tau is an involution, so checking it at every
+    entry of the zero-free dict also covers every zero entry.  The
+    complex case also needs zero trace.
+    """
+    for (i, j), x in mat.items():
+        if mat.get((_witt_tau(m, q, j), _witt_tau(m, q, i))) != _scaled(_quat_conj(x), -1):
+            raise ClosureError("matrix fails the defining form identity")
+    if kind == "complex":
+        if any(sum(x[t] for (i, j), x in mat.items() if i == j) for t in range(4)):
+            raise ClosureError("complex matrix not trace free")
 
 
-def matrix_to_coordvec(mat: ExactMatrix):
+def matrix_to_coordvec(mat):
     """Flatten to {(row, col, component): value} over nonzero entries."""
     out = {}
-    for (i, j), v in mat.entries.items():
-        for c, comp in enumerate(v.comps):
+    for (i, j), v in mat.items():
+        for c, comp in enumerate(v):
             if comp:
                 out[(i, j, c)] = comp
     return out
@@ -255,7 +288,7 @@ class GradedLieAlgebra:
 
     def _build_brackets(self):
         units = [
-            [(a, b, q.comps) for (a, b), q in mat.entries.items()] for mat in self.native
+            [(a, b, q) for (a, b), q in mat.items()] for mat in self.native
         ]
         table = {}
         n = self.dim
@@ -304,11 +337,9 @@ class GradedLieAlgebra:
         return gram
 
     def _find_grading_element(self):
-        ent = {(0, 0): Quaternion(1), (self.m - 1, self.m - 1): Quaternion(-1)}
+        diag = {(0, 0, 0): 1, (self.m - 1, self.m - 1, 0): -1}
         try:
-            elem = self._coords_in_degree(
-                matrix_to_coordvec(ExactMatrix(self.m, self.m, ent, self.kind)), 0
-            )
+            elem = self._coords_in_degree(diag, 0)
         except ValueError as exc:
             raise ClosureError("grading element outside g_0") from exc
         for j, deg in enumerate(self.degrees):
@@ -351,10 +382,16 @@ class GradedLieAlgebra:
     def component(self, vec, deg):
         return {i: c for i, c in vec.items() if self.degrees[i] == deg}
 
-    def native_of_vec(self, vec) -> ExactMatrix:
-        out = ExactMatrix.zero(self.m, self.m, self.kind)
+    def native_of_vec(self, vec):
+        """The matrix sum of vec[i] times basis matrix i, zero-free."""
+        out = {}
         for i, c in vec.items():
-            out = out + self.native[i].scale(c)
+            for pos, x in self.native[i].items():
+                s = tuple(a + c * b for a, b in zip(out.get(pos, (0, 0, 0, 0)), x))
+                if any(s):
+                    out[pos] = s
+                else:
+                    del out[pos]
         return out
 
     def dual_basis(self):
@@ -406,22 +443,21 @@ class GradedLieAlgebra:
 
 
 def _qc_ambient_map(n):
-    m_cr = 2 * (n + 2)
-    phi_cr = perm_matrix(witt_double_perm(n + 2, 1))
-    phi_co = perm_matrix(witt_double_perm(m_cr, 2))
+    m = n + 2
+    pi_cr = witt_double_perm(m, 1)
+    pi_co = witt_double_perm(2 * m, 2)
 
     def to_ambient(mat):
-        cr = phi_cr * realify_H(mat) * phi_cr.transpose()
-        return phi_co * realify_C(cr) * phi_co.transpose()
+        return _permuted(_realify_C(_permuted(_realify_H(mat, m), pi_cr), 2 * m), pi_co)
 
     return to_ambient
 
 
 def _cr_ambient_map(m_cr, q_cr):
-    phi_co = perm_matrix(witt_double_perm(m_cr, q_cr))
+    pi_co = witt_double_perm(m_cr, q_cr)
 
     def to_ambient(mat):
-        return phi_co * realify_C(mat) * phi_co.transpose()
+        return _permuted(_realify_C(mat, m_cr), pi_co)
 
     return to_ambient
 

@@ -28,7 +28,7 @@ from .cohomology import (
     _tables,
     random_cochain,
 )
-from .exact import SpanSolver, _add_scaled, _div, kernel_basis
+from .exact import Q_UNITS, SpanSolver, _add_scaled, _div, kernel_basis, quat_product
 from .gradedlie import GradedLieAlgebra, matrix_to_coordvec
 
 _F0 = Fraction(0)
@@ -81,10 +81,7 @@ class GradedInclusion:
     # -- basic maps -------------------------------------------------------
 
     def apply(self, vec):
-        out = {}
-        for i, a in vec.items():
-            _add_scaled(out, self.img[i], a)
-        return out
+        return _apply_ints(self.img, vec)
 
     def component_split(self, vec):
         """Decomposition of phi(vec) by target degree; zero parts omitted."""
@@ -235,8 +232,9 @@ class GradedInclusion:
         self._transfer_data = _IntTransfer(den, img, weights, xi_den, induce, proj_den, proj)
         return self._transfer_data
 
+
 def _apply_ints(img, vec):
-    """sum of vec[i] * img[i] over integer vectors."""
+    """sum of vec[i] * img[i]; integer vectors give an integer vector."""
     out = {}
     for i, a in vec.items():
         _add_scaled(out, img[i], a)
@@ -578,15 +576,13 @@ def _holonomy_solutions(qc, cr, co, phi2, phic, with_traces):
 
 def _entry_right_mult(alg, idx, unit):
     """(sign, index) with entry(e_idx) * q_unit = sign * entry(e_index)."""
-    from .exact import Q_UNITS
-
     label = alg.labels[idx]
     if not label.startswith("e(") or label[-1] not in "1ijk":
         return None
     base, u = label[:-1], label[-1]
-    prod = Q_UNITS[u] * Q_UNITS[unit]
+    prod = quat_product(Q_UNITS[u], Q_UNITS[unit])
     comp_names = ("1", "i", "j", "k")
-    for t, c in enumerate(prod.comps):
+    for t, c in enumerate(prod):
         if c:
             return (c, alg.labels.index(base + comp_names[t]))
     return None
@@ -751,13 +747,13 @@ def trace_pairing(phi_qc_co: GradedInclusion, u, v) -> Fraction:
     """
     co = phi_qc_co.target
     sigma = _pairing_involution(co)
-    mu = co.native_of_vec(phi_qc_co.minus_part(u)).entries
-    nu = co.native_of_vec(phi_qc_co.minus_part(v)).entries
+    mu = co.native_of_vec(phi_qc_co.minus_part(u))
+    nu = co.native_of_vec(phi_qc_co.minus_part(v))
     t = 0
     for (k, l), x in mu.items():
         y = nu.get((sigma[k], sigma[l]))
         if y is not None:
-            t += (x * y).a
+            t += quat_product(x, y)[0]
     return t
 
 
@@ -767,13 +763,13 @@ def real_trace_pairing(qc, u, v) -> Fraction:
     The real part of the (i, i) entry of x conj(y)^t is the sum over j of
     the component dot products of x_ij and y_ij; rows 1..m-2 count.
     """
-    x = qc.native_of_vec(qc.component(u, -1)).entries
-    y = qc.native_of_vec(qc.component(v, -1)).entries
+    x = qc.native_of_vec(qc.component(u, -1))
+    y = qc.native_of_vec(qc.component(v, -1))
     tr = 0
     for (i, j), a in x.items():
         b = y.get((i, j))
         if b is not None and 1 <= i <= qc.m - 2:
-            tr += sum(p * r for p, r in zip(a.comps, b.comps))
+            tr += sum(p * r for p, r in zip(a, b))
     return 2 * tr
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .charts import MetricChart, VectorFieldOnChart
-from .exact import Q_UNITS
+from .exact import Q_UNITS, _quat_conj, quat_product
 
 _UNIT_NAMES = ("1", "i", "j", "k")
 
@@ -29,10 +29,10 @@ def _unit_mult_table():
     for s, us in enumerate(_UNIT_NAMES):
         row = []
         for mu, umu in enumerate(_UNIT_NAMES):
-            prod = Q_UNITS[us] * Q_UNITS[umu]
-            for nu, comp in enumerate(prod.comps):
+            prod = quat_product(Q_UNITS[us], Q_UNITS[umu])
+            for nu, comp in enumerate(prod):
                 if comp:
-                    row.append((int(comp), nu))
+                    row.append((comp, nu))
                     break
         table[s] = row
     return table
@@ -160,9 +160,9 @@ class QcData:
         c = np.zeros((4, 4, 4))
         for mu in range(4):
             for nu in range(4):
-                q = Q_UNITS[_UNIT_NAMES[mu]] * Q_UNITS[_UNIT_NAMES[nu]].conj()
+                q = quat_product(Q_UNITS[_UNIT_NAMES[mu]], _quat_conj(Q_UNITS[_UNIT_NAMES[nu]]))
                 for s in range(4):
-                    c[s, mu, nu] = float(q.comps[s])
+                    c[s, mu, nu] = float(q[s])
         self.cmat = c
 
     def eta_matrix(self, point):

@@ -23,6 +23,12 @@ d d* + d* d of a homogeneity block from ``differential`` and
 ``codifferential_wedge``, the reference for the engine's harmonic
 spaces, which it computes as ker d cap ker d* instead.
 
+``matmul`` multiplies matrices held, as in ``qcfeff.gradedlie``, as
+zero-free {(row, col): quaternion 4-tuple} dicts, with its own
+quaternion product ``quat_mul`` from the unit table i^2 = j^2 = k^2 =
+ijk = -1: the reference for the defining identity, the realification
+maps and the trace pairings.
+
 ``curvature_reference`` is the numerical stack's reference: the full
 curvature pipeline of one point, the m^5 second derivatives of the
 Christoffel symbols and first derivatives of the Riemann tensor
@@ -135,6 +141,62 @@ def _tables(alg) -> _Tables:
         pair_brackets,
         minus_brackets,
     )
+
+
+# ---------------------------------------------------------------------------
+# quaternion matrices
+# ---------------------------------------------------------------------------
+
+# (s, t) -> (sign, u) with e_s e_t = sign e_u for the units e = 1, i, j, k
+_UNIT_TABLE = {
+    (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
+    (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+    (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+    (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
+}
+
+
+def quat_mul(p, q):
+    """Quaternion product of two component 4-tuples, unit by unit."""
+    out = [0, 0, 0, 0]
+    for s, x in enumerate(p):
+        for t, y in enumerate(q):
+            sign, u = _UNIT_TABLE[(s, t)]
+            out[u] += sign * x * y
+    return tuple(out)
+
+
+def quat_conj(q):
+    return (q[0], -q[1], -q[2], -q[3])
+
+
+def quat_neg(q):
+    return tuple(-c for c in q)
+
+
+def matmul(x, y, cols):
+    """The product of two matrices as a zero-free dict; y has cols columns."""
+    out = {}
+    for (i, k), a in x.items():
+        for j in range(cols):
+            b = y.get((k, j))
+            if b is not None:
+                acc = out.get((i, j), (0, 0, 0, 0))
+                out[(i, j)] = tuple(s + t for s, t in zip(acc, quat_mul(a, b)))
+    return {key: v for key, v in out.items() if any(v)}
+
+
+def transpose(x):
+    return {(j, i): v for (i, j), v in x.items()}
+
+
+def conj(x):
+    return {key: quat_conj(v) for key, v in x.items()}
+
+
+def trace(x):
+    """The quaternion trace of a square matrix, as a 4-tuple."""
+    return tuple(sum(v[t] for (i, j), v in x.items() if i == j) for t in range(4))
 
 
 # ---------------------------------------------------------------------------

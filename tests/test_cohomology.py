@@ -189,11 +189,12 @@ def test_block_operators_match_per_cochain_operators(chain1):
         for n in degrees:
             for l in coh.homogeneity_range(alg, n):
                 blk = coh._block_operators(alg, n, l)
+                d_down, c_up = coh._operators_into(alg, n, blk)
                 for op, factor, deg, basis, target, cols in (
-                    (differential, ints.d_scale, n - 1, blk.down, blk.src, blk.d_down),
+                    (differential, ints.d_scale, n - 1, blk.down, blk.src, d_down),
                     (codifferential_wedge, ints.c_scale, n, blk.src, blk.down, blk.c_src),
                     (differential, ints.d_scale, n, blk.src, blk.up, blk.d_src),
-                    (codifferential_wedge, ints.c_scale, n + 1, blk.up, blk.src, blk.c_up),
+                    (codifferential_wedge, ints.c_scale, n + 1, blk.up, blk.src, c_up),
                 ):
                     assert len(cols) == len(basis)
                     for (key, m), col in zip(basis, cols):

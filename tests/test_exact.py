@@ -6,80 +6,87 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 import qcfeff.exact as exact
-from qcfeff.exact import (
-    ExactMatrix,
-    Quaternion,
-    Q_I,
-    Q_J,
-    SpanSolver,
-    kernel_basis,
-    realify_C,
-    realify_H,
-)
+import qcfeff.gradedlie as gl
+from qcfeff.exact import Q_UNITS, SpanSolver, _quat_conj, kernel_basis, quat_product
 
 fracs = st.fractions(
     min_value=-5, max_value=5, max_denominator=7
 )
-quats = st.builds(Quaternion, fracs, fracs, fracs, fracs)
+quats = st.tuples(fracs, fracs, fracs, fracs)
 
 
 def _norm2(x):
-    return x.a ** 2 + x.b ** 2 + x.c ** 2 + x.d ** 2
+    return sum(c * c for c in x)
 
 
-def _from_rows(data, kind="rational"):
-    """The matrix with the given dense rows of scalars."""
-    entries = {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)}
-    return ExactMatrix(len(data), len(data[0]), entries, kind)
+def _from_rows(data):
+    """The zero-free {(i, j): 4-tuple} matrix with the given dense rows of
+    4-tuples or rational scalars."""
+    entries = {}
+    for i, row in enumerate(data):
+        for j, v in enumerate(row):
+            v = v if isinstance(v, tuple) else (v, 0, 0, 0)
+            if any(v):
+                entries[(i, j)] = v
+    return entries
 
 
-def _identity(n, kind="rational"):
-    return ExactMatrix(n, n, {(i, i): 1 for i in range(n)}, kind)
+def _identity(n):
+    return {(i, i): Q_UNITS["1"] for i in range(n)}
 
 
-def _commutator(a, b):
-    return a * b - b * a
+def _commutator(a, b, n):
+    out = dict(oracle.matmul(a, b, n))
+    for key, v in oracle.matmul(b, a, n).items():
+        out[key] = tuple(s - t for s, t in zip(out.get(key, (0, 0, 0, 0)), v))
+    return {key: v for key, v in out.items() if any(v)}
 
 
 @given(quats, quats)
 @settings(max_examples=60, deadline=None)
 def test_norm_multiplicative(x, y):
-    assert _norm2(x * y) == _norm2(x) * _norm2(y)
+    assert _norm2(quat_product(x, y)) == _norm2(x) * _norm2(y)
 
 
 @given(quats, quats)
 @settings(max_examples=60, deadline=None)
 def test_conjugation_antiautomorphism(x, y):
-    assert (x * y).conj() == y.conj() * x.conj()
-    assert x.conj().conj() == x
+    assert _quat_conj(quat_product(x, y)) == quat_product(_quat_conj(y), _quat_conj(x))
+    assert _quat_conj(_quat_conj(x)) == x
 
 
 @given(quats)
 @settings(max_examples=60, deadline=None)
 def test_norm_is_real(x):
-    n = x * x.conj()
-    assert n.b == 0 and n.c == 0 and n.d == 0
-    assert n.a == _norm2(x)
+    assert quat_product(x, _quat_conj(x)) == (_norm2(x), 0, 0, 0)
 
 
 @given(quats, quats, quats)
 @settings(max_examples=40, deadline=None)
 def test_associativity(x, y, z):
-    assert (x * y) * z == x * (y * z)
+    assert quat_product(quat_product(x, y), z) == quat_product(x, quat_product(y, z))
+
+
+def _random_scalar(rng, kind):
+    if kind == "quaternion":
+        return tuple(rng.randint(-3, 3) for _ in range(4))
+    if kind == "complex":
+        return (rng.randint(-3, 3), rng.randint(-3, 3), 0, 0)
+    return (rng.randint(-3, 3), 0, 0, 0)
 
 
 def _random_matrix(rng, rows, cols, kind="quaternion"):
-    def scalar():
-        if kind == "quaternion":
-            return Quaternion(*(rng.randint(-3, 3) for _ in range(4)))
-        if kind == "complex":
-            return Quaternion(rng.randint(-3, 3), rng.randint(-3, 3))
-        return Quaternion(rng.randint(-3, 3))
+    return _from_rows([[_random_scalar(rng, kind) for _ in range(cols)] for _ in range(rows)])
 
-    return _from_rows(
-        [[scalar() for _ in range(cols)] for _ in range(rows)], kind
-    )
+
+def _random_terms(rng, m, kind, count=6):
+    """A sum of count random matrix-unit terms of an m x m matrix."""
+    out = {}
+    for _ in range(count):
+        out[(rng.randrange(m), rng.randrange(m))] = _random_scalar(rng, kind)
+    return {key: v for key, v in out.items() if any(v)}
 
 
 def test_matrix_trace_commute():
@@ -87,10 +94,10 @@ def test_matrix_trace_commute():
     for _ in range(10):
         a = _random_matrix(rng, 3, 4)
         b = _random_matrix(rng, 4, 3)
-        ta = (a * b).trace()
-        tb = (b * a).trace()
+        ta = oracle.trace(oracle.matmul(a, b, 3))
+        tb = oracle.trace(oracle.matmul(b, a, 4))
         # quaternionic traces of AB and BA agree in the real part
-        assert ta.a == tb.a
+        assert ta[0] == tb[0]
 
 
 def test_matrix_associativity():
@@ -99,28 +106,34 @@ def test_matrix_associativity():
         a = _random_matrix(rng, 2, 3)
         b = _random_matrix(rng, 3, 4)
         c = _random_matrix(rng, 4, 2)
-        assert (a * b) * c == a * (b * c)
+        mm = oracle.matmul
+        assert mm(mm(a, b, 4), c, 2) == mm(a, mm(b, c, 2), 2)
 
 
 def test_realify_H_of_j():
-    m = _from_rows([[Q_J]], "quaternion")
-    img = realify_H(m)
-    expect = _from_rows([[0, -1], [1, 0]], "complex")
-    assert img == expect
+    img = gl._realify_H(_from_rows([[Q_UNITS["j"]]]), 1)
+    assert img == _from_rows([[0, -1], [1, 0]])
 
 
 def test_realify_H_of_one():
-    m = _identity(1, "quaternion")
-    assert realify_H(m) == _identity(2, "complex")
+    assert gl._realify_H(_identity(1), 1) == _identity(2)
 
 
 def test_realify_C_of_i():
-    m = _from_rows([[Q_I]], "complex")
-    assert realify_C(m) == _from_rows([[0, -1], [1, 0]])
+    assert gl._realify_C(_from_rows([[Q_UNITS["i"]]]), 1) == _from_rows([[0, -1], [1, 0]])
 
 
 def test_realify_C_of_one():
-    assert realify_C(_identity(1, "complex")) == _identity(2)
+    assert gl._realify_C(_identity(1), 1) == _identity(2)
+
+
+def _realify_HC(x):
+    return gl._realify_C(gl._realify_H(x, 3), 6)
+
+
+def _assert_homomorphism(f, a, b, m, size):
+    """f(ab) = f(a) f(b) for m x m matrices a and b whose images are size x size."""
+    assert f(oracle.matmul(a, b, m)) == oracle.matmul(f(a), f(b), size)
 
 
 def test_realify_H_homomorphism():
@@ -128,7 +141,7 @@ def test_realify_H_homomorphism():
     for _ in range(10):
         a = _random_matrix(rng, 3, 3)
         b = _random_matrix(rng, 3, 3)
-        assert realify_H(a * b) == realify_H(a) * realify_H(b)
+        _assert_homomorphism(lambda x: gl._realify_H(x, 3), a, b, 3, 6)
 
 
 def test_realify_C_homomorphism():
@@ -136,7 +149,7 @@ def test_realify_C_homomorphism():
     for _ in range(10):
         a = _random_matrix(rng, 3, 3, "complex")
         b = _random_matrix(rng, 3, 3, "complex")
-        assert realify_C(a * b) == realify_C(a) * realify_C(b)
+        _assert_homomorphism(lambda x: gl._realify_C(x, 3), a, b, 3, 6)
 
 
 def test_realified_commutators():
@@ -144,9 +157,29 @@ def test_realified_commutators():
     for _ in range(20):
         a = _random_matrix(rng, 3, 3)
         b = _random_matrix(rng, 3, 3)
-        lhs = realify_C(realify_H(_commutator(a, b)))
-        rhs = _commutator(realify_C(realify_H(a)), realify_C(realify_H(b)))
+        lhs = _realify_HC(_commutator(a, b, 3))
+        rhs = _commutator(_realify_HC(a), _realify_HC(b), 12)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "to_ambient, kind, m",
+    [
+        (gl._qc_ambient_map(1), "quaternion", 3),
+        (gl._qc_ambient_map(2), "quaternion", 4),
+        (gl._cr_ambient_map(6, 2), "complex", 6),
+    ],
+    ids=["qc1", "qc2", "cr31"],
+)
+def test_ambient_maps_are_homomorphisms(to_ambient, kind, m):
+    """Realification followed by the Witt reordering of the doubled
+    coordinates takes products of random matrix-unit sums to products."""
+    size = {"quaternion": 4, "complex": 2}[kind] * m
+    rng = random.Random(5)
+    for _ in range(20):
+        a = _random_terms(rng, m, kind)
+        b = _random_terms(rng, m, kind)
+        _assert_homomorphism(to_ambient, a, b, m, size)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import oracle
-from qcfeff.exact import kernel_basis
+import qcfeff.gradedlie as gl
+from qcfeff.exact import Q_UNITS, kernel_basis
 from qcfeff.gradedlie import (
     ClosureError,
     SingularPairingError,
@@ -257,30 +258,46 @@ def test_serialize_roundtrip(chain1):
         Fraction(coeff)  # parses exactly
 
 
-def test_native_matrices_satisfy_defining_identity(chain1):
-    from qcfeff.gradedlie import witt_form
+def _witt_form(m, q):
+    """The Witt form: q hyperbolic pairs at the ends, an orthonormal middle."""
+    return {(a, m - 1 - a if a < q or a >= m - q else a): (1, 0, 0, 0) for a in range(m)}
 
+
+def test_native_matrices_satisfy_defining_identity(chain1):
     for alg in chain1:
-        s = witt_form(alg.m, alg.q)
+        m = alg.m
+        s = _witt_form(m, alg.q)
         for mat in alg.native:
-            assert (mat.transpose() * s + s * mat.conj()).is_zero()
+            lhs = oracle.matmul(oracle.transpose(mat), s, m)
+            rhs = oracle.matmul(s, oracle.conj(mat), m)
+            assert lhs == {key: oracle.quat_neg(v) for key, v in rhs.items()}
             if alg.kind == "complex":
-                assert mat.trace().is_zero()
+                assert not any(oracle.trace(mat))
+
+
+def test_membership_check_fails_closed(chain1):
+    """An entry with a flipped sign breaks the defining identity, and a
+    diagonal element of nonzero trace is not in the complex algebra."""
+    qc, cr, _ = chain1
+    mat = dict(qc.native[qc.labels.index("e(1,0)j")])
+    gl._check_member(qc.kind, qc.m, qc.q, mat)
+    mat[(1, 0)] = oracle.quat_neg(mat[(1, 0)])
+    with pytest.raises(ClosureError, match="defining form identity"):
+        gl._check_member(qc.kind, qc.m, qc.q, mat)
+    # the trace carrier d(2)i of the middle block, on its own
+    with pytest.raises(ClosureError, match="trace free"):
+        gl._check_member(cr.kind, cr.m, cr.q, {(2, 2): Q_UNITS["i"]})
 
 
 def _build_digest(alg):
     """SHA-256 over the built data, every scalar as its str."""
+    size = {"quaternion": 4, "complex": 2, "rational": 1}[alg.kind] * alg.m
     doc = {
         "serialize": alg.serialize(),
         "killing": [[str(v) for v in row] for row in alg.killing],
         "grading_element": sorted((i, str(c)) for i, c in alg.grading_element.items()),
         "ambient": [
-            [
-                m.rows,
-                m.cols,
-                m.kind,
-                sorted([i, j, [str(x) for x in q.comps]] for (i, j), q in m.entries.items()),
-            ]
+            [size, size, "rational", sorted([i, j, [str(x) for x in q]] for (i, j), q in m.items())]
             for m in alg.ambient
         ],
     }

@@ -11,10 +11,12 @@ ORACLE = Path(__file__).with_name("oracle.py")
 # argparse calls this hook itself; nothing in the package names it
 _CALLED_FROM_OUTSIDE = {("cli.py", "_Parser.error")}
 
-# the integer machinery that the oracle is a separate reference for
-_INTEGER_MACHINERY = {
+# the engine code that the oracle is a separate reference for: the integer
+# operators and transfer tables, and the quaternion matrix maps
+_CHECKED_MACHINERY = {
     "ints",
     "_block_operators",
+    "_operators_into",
     "harmonic_space",
     "_part1_ints",
     "_part2_ints",
@@ -22,7 +24,24 @@ _INTEGER_MACHINERY = {
     "_codifferential_ints",
     "_induce_ints",
     "_transfer",
+    "quat_product",
+    "_quat_conj",
+    "_realify_H",
+    "_realify_C",
+    "_permuted",
+    "_check_member",
 }
+
+
+def _module_names(module):
+    """(name, name) of every module-level class and public module-level constant."""
+    for node in module.body:
+        if isinstance(node, ast.ClassDef):
+            yield node.name, node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, target.id
 
 
 def _definitions(tree, prefix=""):
@@ -51,7 +70,8 @@ def _referenced_names(tree):
 
 
 def test_every_function_in_src_is_referenced():
-    """A function or method that nothing in the package names is dead code.
+    """A function, method, module-level class or public module-level
+    constant that nothing in the package names is dead code.
 
     Re-exports in ``__init__`` do not count as uses, and dunder methods
     are called by the language, not by name.
@@ -60,12 +80,14 @@ def test_every_function_in_src_is_referenced():
     used = set()
     for name, tree in trees.items():
         if name != "__init__.py":
-            used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            used |= {
+                n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
             used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     unreferenced = [
         "%s:%s" % (module, qual)
         for module, tree in trees.items()
-        for qual, name in _definitions(tree)
+        for qual, name in (*_module_names(tree), *_definitions(tree))
         if not (name.startswith("__") and name.endswith("__"))
         and name not in used
         and (module, qual) not in _CALLED_FROM_OUTSIDE
@@ -107,6 +129,7 @@ def test_every_import_and_private_constant_is_read():
 
 
 def test_oracle_reads_no_integer_machinery():
-    """The rational oracle stays a separate reference for the integer engine."""
+    """The rational oracle stays a separate reference for the integer engine
+    and the quaternion matrix maps."""
     read = _referenced_names(ast.parse(ORACLE.read_text()))
-    assert sorted(read & _INTEGER_MACHINERY) == []
+    assert sorted(read & _CHECKED_MACHINERY) == []
