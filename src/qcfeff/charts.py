@@ -7,8 +7,18 @@ Curvature and tractor data always read jets of order 3: the Cotton
 tensor, the Weyl divergence and the derivative rows of the tractor
 connection take third derivatives of the metric and of the field.
 
-Apart from the jet tensor d3g, a CurvatureData build holds no array
-with five indices.  Of the second derivatives of the Christoffel
+A check pays only for the fields it reads.  A CurvatureData evaluates
+its point's order-3 jets once, in its constructor, and builds eagerly
+everything up to the Weyl tensor; the fields that differentiate the
+Ricci and Schouten tensors (gamtr, dgamtr, d2gamtr, dric, dscal, dP,
+covP, cotton) are built together on the first read of any of them.  A
+TractorData takes the field's jets and its conformal Killing figures,
+up to killing_residual, eagerly, and the tractor components from dalpha
+through n2k on first read.  A Fefferman point, which reads only g, weyl
+and each field's k and killing_residual, builds neither late part.
+
+Apart from the jet tensor d3g, a CurvatureData holds no array with five
+indices.  Of the second derivatives of the Christoffel
 symbols and the first derivatives of the Riemann tensor it builds only
 the two traces that anything reads: d2gamtr (for the tractor data) and
 dric (for the derivative of the Schouten tensor and the Cotton tensor).
@@ -79,6 +89,31 @@ def worst(values):
     return out
 
 
+def signature(g, tol=1e-10):
+    """(positive, negative) eigenvalue counts of a metric at a point."""
+    ev = np.linalg.eigvalsh(g)
+    if np.any(np.abs(ev) <= tol):
+        raise ChartError("metric numerically degenerate")
+    return int(np.sum(ev > 0)), int(np.sum(ev < 0))
+
+
+class _BuiltOnFirstRead:
+    """The constructor builds the eager fields; ``_build_late`` builds
+    those named in ``_LATE`` on the first read of any of them.
+
+    ``__getattr__`` runs only for a name the instance does not hold, so
+    later reads are plain attribute lookups.
+    """
+
+    def __getattr__(self, name):
+        if name not in self._LATE:
+            raise AttributeError(
+                "%r object has no attribute %r" % (type(self).__name__, name)
+            )
+        self._build_late()
+        return vars(self)[name]
+
+
 class MetricChart:
     """Coordinate chart with a jet-evaluable metric field."""
 
@@ -125,15 +160,6 @@ class MetricChart:
                 else:
                     out[a, b, 0] = float(v)
         return out
-
-    def metric_at(self, point):
-        return self.metric_jets(point, 1)[:, :, 0]
-
-    def signature_at(self, point, tol=1e-10):
-        ev = np.linalg.eigvalsh(self.metric_at(point))
-        if np.any(np.abs(ev) <= tol):
-            raise ChartError("metric numerically degenerate")
-        return int(np.sum(ev > 0)), int(np.sum(ev < 0))
 
     def rescaled(self, conf_fn, name=None):
         """The chart with metric exp(2 phi) g for a jet-evaluable phi."""
@@ -188,8 +214,10 @@ class VectorFieldOnChart:
         )
 
 
-class CurvatureData:
+class CurvatureData(_BuiltOnFirstRead):
     """Curvature tensors of a chart metric at one point."""
+
+    _LATE = frozenset(("gamtr", "dgamtr", "d2gamtr", "dric", "dscal", "dP", "covP", "cotton"))
 
     def __init__(self, chart: MetricChart, point):
         self.chart = chart
@@ -208,7 +236,7 @@ class CurvatureData:
         self._build()
 
     def _build(self):
-        g, dg, d2g, d3g, ginv = self.g, self.dg, self.d2g, self.d3g, self.ginv
+        g, dg, d2g, ginv = self.g, self.dg, self.d2g, self.ginv
         m = self.m
         dginv = -np.einsum("ae,efc,fb->abc", ginv, dg, ginv, optimize=_PATH3)
         self.dginv = dginv
@@ -246,6 +274,14 @@ class CurvatureData:
         self.P = -(self.ric - (self.scal / (2.0 * (m - 1))) * g) / (m - 2)
         self.r4 = np.einsum("ta,azxy->xyzt", g, self.riem, optimize=_PATH2)
         self.weyl = self.r4 - _kulkarni(self.P, g)
+
+    def _build_late(self):
+        """The derivatives of the Ricci and Schouten tensors, and the Cotton tensor."""
+        g, dg, d2g, d3g, ginv = self.g, self.dg, self.d2g, self.d3g, self.ginv
+        dginv, d2ginv = self.dginv, self.d2ginv
+        gamma_low, dgamma_low = self.gamma_low, self.dgamma_low
+        gam, dgam = self.gamma, self.dgamma
+        m = self.m
 
         # Two traces of d2gamma and driem, built without either array.
         # trIJ contracts slots I and J of d3g with ginv.  d3g is symmetric
@@ -401,8 +437,12 @@ def _dkulkarni(p, dp, g, dg):
 # ---------------------------------------------------------------------------
 
 
-class TractorData:
+class TractorData(_BuiltOnFirstRead):
     """Adjoint-tractor components (gamma, -alpha, K, k) of a vector field."""
+
+    _LATE = frozenset(
+        ("dalpha", "d2alpha", "dkflat", "K", "dK", "Pk", "gamma1", "dPk", "dgamma1", "nk", "n2k")
+    )
 
     def __init__(self, curv: CurvatureData, field: VectorFieldOnChart):
         self.curv = curv
@@ -417,9 +457,9 @@ class TractorData:
 
     def _build(self):
         c = self.curv
-        g, dg, d2g, ginv, gam = c.g, c.dg, c.d2g, c.ginv, c.gamma
+        g, dg, gam = c.g, c.dg, c.gamma
         m = c.m
-        k, dk, d2k = self.k, self.dk, self.d2k
+        k, dk = self.k, self.dk
 
         self.lie_g = (
             np.einsum("abc,c->ab", dg, k)
@@ -432,6 +472,13 @@ class TractorData:
         self.killing_residual = float(
             np.max(np.abs(self.lie_g - self.lam * g))
         ) / (1.0 + float(np.max(np.abs(g))))
+
+    def _build_late(self):
+        """The derivatives of alpha, the tractor one-form and K, and nabla k."""
+        c = self.curv
+        g, dg, d2g, ginv, gam = c.g, c.dg, c.d2g, c.ginv, c.gamma
+        m = c.m
+        k, dk, d2k = self.k, self.dk, self.d2k
 
         # alpha derivatives (alpha = div(k)/m)
         gamtr, dgamtr, d2gamtr = c.gamtr, c.dgamtr, c.d2gamtr
@@ -449,7 +496,6 @@ class TractorData:
             + np.einsum("e,ecd->cd", gamtr, d2k)
         ) / m
 
-        self.kflat = g @ k
         self.dkflat = np.einsum("bce,c->be", dg, k) + np.einsum("bc,ce->be", g, dk)
         dmat = np.einsum("bc->cb", self.dkflat) - self.dkflat  # D[c,b] = d_c kb - d_b kc
         self.K = 0.5 * np.einsum("ab,cb->ac", ginv, dmat)

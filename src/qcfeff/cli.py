@@ -271,7 +271,11 @@ def _quadric_point(chart, fields, point, killing_check, seed):
 
 
 def _fefferman_point(chart, fields, point):
-    """Weyl size and the vertical fields' residuals from one geometry evaluation."""
+    """Signature, Weyl size and the vertical fields' residuals from one geometry evaluation.
+
+    Reads only the eager fields of the point's CurvatureData and
+    TractorData, so neither builds its late part.
+    """
     from . import charts as ch
 
     curv = ch.CurvatureData(chart, point)
@@ -281,6 +285,7 @@ def _fefferman_point(chart, fields, point):
         light.append(abs(float(td.k @ curv.g @ td.k)))
         killing.append(td.killing_residual)
     return {
+        "signature": ch.signature(curv.g),
         "weyl": [float(np.max(np.abs(curv.weyl)))],
         "lightlike": light,
         "killing": killing,
@@ -385,8 +390,8 @@ def suite_model(n, samples=20, seed=0, metric="quadric", rescale_seed=None, tol=
         for name, rotate in (("maurer_cartan", False), ("adjoint_rotated", True)):
             fm = mo.fefferman_metric(qc, rotate_eta=rotate)
             fpts = fm.sample_points(max(4, samples // 4), seed + 1)
-            sig_ok = all(fm.signature_at(p) == (4 * n + 3, 3) for p in fpts)
             rows = [_fefferman_point(fm, fields, p) for p in fpts]
+            sig_ok = all(row["signature"] == (4 * n + 3, 3) for row in rows)
             weyl = _worst_of(rows, "weyl")
             candidates[name] = {"signature_ok": sig_ok, "weyl": weyl}
             vertical[name] = (_worst_of(rows, "lightlike"), _worst_of(rows, "killing"))

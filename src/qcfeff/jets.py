@@ -5,14 +5,18 @@ up to a fixed total degree, densely indexed by multi-index.  Products
 are exact to the truncation order; elementary functions are built by
 composing their univariate series with the nilpotent part.
 
-Jet spaces are cached per (num_vars, order), including the index table
-driving multiplication and, once first asked for, the index tables
-that turn coefficients into derivative tensors.
+Jet spaces are cached per (num_vars, order).  A space builds its
+multiplication table eagerly, in its constructor: the indices are sorted
+by degree, so the partners of each index whose degrees sum with its own
+to at most the order form a prefix of the index list, and only that
+prefix is visited.  The index tables that turn coefficients into
+derivative tensors are built on first use, one per derivative order.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -52,14 +56,14 @@ class JetSpace:
         self.indices = _multi_indices(num_vars, order)
         self.size = len(self.indices)
         self.position = {a: i for i, a in enumerate(self.indices)}
-        self.degrees = np.array([sum(a) for a in self.indices])
+        degrees = [sum(a) for a in self.indices]
+        # indices are sorted by degree: the partners j of i with
+        # deg i + deg j <= order are the prefix indices[:ends[deg i]]
+        ends = [bisect_right(degrees, order - d) for d in range(order + 1)]
         ii, jj, kk = [], [], []
         for i, a in enumerate(self.indices):
-            da = sum(a)
-            for j, b in enumerate(self.indices):
-                if da + sum(b) > order:
-                    continue
-                c = tuple(x + y for x, y in zip(a, b))
+            for j in range(ends[degrees[i]]):
+                c = tuple(x + y for x, y in zip(a, self.indices[j]))
                 ii.append(i)
                 jj.append(j)
                 kk.append(self.position[c])

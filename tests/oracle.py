@@ -35,12 +35,17 @@ Christoffel symbols and first derivatives of the Riemann tensor
 included, summed by numpy's naive einsum loops from the metric jets.
 ``qcfeff.charts.CurvatureData`` builds only the traces of those two
 arrays that its checks read.
+
+``jet_product_table`` lists the index triples of the truncated jet
+product by testing every pair of multi-indices, the reference for the
+tables that ``qcfeff.jets`` builds from degree prefixes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import lcm
 from typing import NamedTuple
 
@@ -610,3 +615,34 @@ def curvature_reference(g, dg, d2g, d3g, ginv):
         "covP": covP,
         "cotton": covP - es("cab->acb", covP),
     }
+
+
+# ---------------------------------------------------------------------------
+# the truncated jet product, pair by pair
+# ---------------------------------------------------------------------------
+
+
+def jet_product_table(num_vars, order):
+    """(i, j, k) intp arrays of the product of jets truncated at ``order``.
+
+    Coefficients are laid out by multi-index sorted by (degree, index).
+    Every pair (i, j) is tested, i outer and j inner; it enters when the
+    degrees sum to at most ``order``, with k the position of the sum.
+    """
+    indices = []
+    for degree in range(order + 1):
+        for combo in combinations_with_replacement(range(num_vars), degree):
+            alpha = [0] * num_vars
+            for v in combo:
+                alpha[v] += 1
+            indices.append(tuple(alpha))
+    indices.sort(key=lambda a: (sum(a), a))
+    position = {a: i for i, a in enumerate(indices)}
+    ii, jj, kk = [], [], []
+    for i, a in enumerate(indices):
+        for j, b in enumerate(indices):
+            if sum(a) + sum(b) <= order:
+                ii.append(i)
+                jj.append(j)
+                kk.append(position[tuple(x + y for x, y in zip(a, b))])
+    return tuple(np.array(v, dtype=np.intp) for v in (ii, jj, kk))

@@ -16,6 +16,7 @@ from qcfeff import cohomology as coh
 from qcfeff import inclusions as inc
 from qcfeff import models as mo
 from qcfeff.cohomology import random_cochain
+from tests_support import metric_at, signature_at
 
 
 def _report(num, name, ok, extra=""):
@@ -133,11 +134,11 @@ def test_criterion_07_quadric_model(quadric1):
     pts = chart.sample_points(20, seed=0)
     ok = True
     light = max(
-        abs(float(k.values(p) @ chart.metric_at(p) @ k.values(p)))
+        abs(float(k.values(p) @ metric_at(chart, p) @ k.values(p)))
         for k in (k1, k2)
         for p in pts
     )
-    orth = max(abs(float(k1.values(p) @ chart.metric_at(p) @ k2.values(p))) for p in pts)
+    orth = max(abs(float(k1.values(p) @ metric_at(chart, p) @ k2.values(p))) for p in pts)
     ok = ok and light < 1e-10 and orth < 1e-10
     kill = max(
         td.killing_residual for p in pts[:5] for td in ch._tractors_at(chart, (k1, k2), p)
@@ -185,7 +186,7 @@ def test_criterion_08_heisenberg_fefferman(heisenberg1):
     for name, rotate in (("maurer_cartan", False), ("adjoint_rotated", True)):
         fm = mo.fefferman_metric(qc, rotate_eta=rotate)
         pts = fm.sample_points(6, seed=1)
-        sig_ok = all(fm.signature_at(p) == (7, 3) for p in pts)
+        sig_ok = all(signature_at(fm, p) == (7, 3) for p in pts)
         weyl = max(float(np.max(np.abs(ch.CurvatureData(fm, p).weyl))) for p in pts[:3])
         candidates[name] = (sig_ok, weyl)
         if chosen is None and sig_ok and weyl < 1e-6:
@@ -195,7 +196,7 @@ def test_criterion_08_heisenberg_fefferman(heisenberg1):
     pts = fm.sample_points(6, seed=1)
     for fld in mo.sp1_fundamental_fields(qc):
         for p in pts[:3]:
-            g = fm.metric_at(p)
+            g = metric_at(fm, p)
             v = fld.values(p)
             ok = ok and abs(float(v @ g @ v)) < 1e-8
             ok = ok and ch._tractors_at(fm, (fld,), p)[0].killing_residual < 1e-8

@@ -3,6 +3,7 @@ import oracle
 import pytest
 
 from qcfeff import charts as ch
+from tests_support import signature_at
 
 
 def test_flat_metric_all_curvature_zero():
@@ -192,7 +193,12 @@ def test_killing_case_gamma_is_p_of_k(quadric1):
 
 def test_signature_detection():
     chart = ch.flat_chart(5, (3, 2))
-    assert chart.signature_at([0.1] * 5) == (3, 2)
+    assert signature_at(chart, [0.1] * 5) == (3, 2)
+
+
+def test_signature_fails_on_a_degenerate_metric():
+    with pytest.raises(ch.ChartError):
+        ch.signature(np.diag([1.0, 1e-11, -1.0]))
 
 
 def _sample_points_one_draw_at_a_time(chart, count, seed):
@@ -248,7 +254,8 @@ def test_curvature_build_contracts_on_fixed_paths(monkeypatch):
         return einsum(spec, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", recording)
-    ch.CurvatureData(chart, pt)
+    curv = ch.CurvatureData(chart, pt)
+    curv.cotton  # the first read of a late field runs the late build
     multi = [(spec, k, path) for spec, k, path in calls if k >= 2]
     assert len(multi) >= 24
     unpathed = [
@@ -287,8 +294,9 @@ def test_curvature_paths_keep_the_naive_sums(index):
 
 
 def test_curvature_data_holds_no_m5_array_but_d3g():
-    """Of a build's arrays only the jet tensor d3g has five indices."""
+    """Of a build's arrays, the late ones included, only the jet tensor d3g has five indices."""
     curv = ch.CurvatureData(*_fefferman_point())
+    curv.cotton  # the first read of a late field runs the late build
     five = [
         name
         for name, value in vars(curv).items()
@@ -297,3 +305,35 @@ def test_curvature_data_holds_no_m5_array_but_d3g():
     assert five == ["d3g"]
     # the build reads its traces off views of d3g with the derivative slots first
     assert curv.d3g.transpose(2, 3, 4, 0, 1).flags.c_contiguous
+
+
+def _late_step_assigns(obj):
+    """The attributes that a forced late build adds to an object."""
+    before = set(vars(obj))
+    obj._build_late()
+    return set(vars(obj)) - before
+
+
+def test_late_name_sets_match_the_late_steps(quadric1):
+    """Each class's late-name set is exactly what its late step assigns.
+
+    A name missing from the set would raise AttributeError on first read
+    instead of triggering the late build; a name in the set that the late
+    step never assigns would raise KeyError.
+    """
+    chart, k1, _, _ = quadric1
+    pt = chart.sample_points(1, 5)[0]
+    assert _late_step_assigns(ch.CurvatureData(chart, pt)) == ch.CurvatureData._LATE
+    td = ch.TractorData(ch.CurvatureData(chart, pt), k1)
+    assert _late_step_assigns(td) == ch.TractorData._LATE
+
+
+@pytest.mark.parametrize("index", [2, 3], ids=["random4", "fefferman14"])
+def test_late_build_leaves_weyl_unchanged(index):
+    chart, pt = (_curvature_points() + [_fefferman_point()])[index]
+    curv = ch.CurvatureData(chart, pt)
+    weyl = curv.weyl
+    before = weyl.tobytes()
+    curv.cotton
+    assert curv.weyl is weyl
+    assert weyl.tobytes() == before

@@ -256,41 +256,55 @@ def test_model_builds_geometry_once_per_point(monkeypatch, metric, repeats):
     assert max(alive_at_build) == 0
 
 
+def test_fefferman_point_builds_no_late_fields(monkeypatch):
+    """A Fefferman point reads only eager fields, so neither late part is built."""
+    from qcfeff import models as mo
+    from qcfeff.cli import _fefferman_point
+
+    built = []
+    for cls in (ch.CurvatureData, ch.TractorData):
+
+        def recording(self, *args, _init=cls.__init__):
+            _init(self, *args)
+            built.append(self)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    qc = mo.heisenberg_qc(1)
+    fm = mo.fefferman_metric(qc)
+    fields = mo.sp1_fundamental_fields(qc)
+    row = _fefferman_point(fm, fields, fm.sample_points(1, seed=1)[0])
+    assert row["signature"] == (7, 3)
+    (curv,) = [obj for obj in built if isinstance(obj, ch.CurvatureData)]
+    tractors = [obj for obj in built if isinstance(obj, ch.TractorData)]
+    assert len(tractors) == len(fields)
+    assert {"cotton", "dric"}.isdisjoint(vars(curv))
+    assert ch.CurvatureData._LATE.isdisjoint(vars(curv))
+    for td in tractors:
+        assert "n2k" not in vars(td)
+        assert ch.TractorData._LATE.isdisjoint(vars(td))
+
+
 @pytest.mark.parametrize("metric", ["quadric", "heisenberg"])
 def test_model_reads_metric_once_per_point(monkeypatch, metric):
     """Every per-point figure reads the order-3 jets of the point's CurvatureData.
 
-    The one order-1 metric evaluation left is the Fefferman signature
-    check, once per Fefferman sample point.
+    The Fefferman signature too is read off the point's own curvature
+    data, so no metric evaluation of any other order is left.
     """
     jets = ch.MetricChart.metric_jets
-    signature_at = ch.MetricChart.signature_at
-    calls = []
-    in_signature = []
+    orders = []
 
     def counting_jets(self, point, order):
-        calls.append((order, bool(in_signature)))
+        orders.append(order)
         return jets(self, point, order)
 
-    def counting_signature(self, point, tol=1e-10):
-        in_signature.append(None)
-        try:
-            return signature_at(self, point, tol)
-        finally:
-            in_signature.pop()
-
     monkeypatch.setattr(ch.MetricChart, "metric_jets", counting_jets)
-    monkeypatch.setattr(ch.MetricChart, "signature_at", counting_signature)
     rescale = 7 if metric == "quadric" else None
-    samples = 8
-    _, ok = suite_model(1, samples=samples, seed=3, metric=metric, rescale_seed=rescale)
+    _, ok = suite_model(1, samples=8, seed=3, metric=metric, rescale_seed=rescale)
     assert ok
-    assert calls
-    low = [inside for order, inside in calls if order != 3]
-    assert all(inside for inside in low)
-    assert all(order == 1 for order, inside in calls if inside)
-    # two sigma candidates, max(4, samples // 4) Fefferman points each
-    assert len(low) == (0 if metric == "quadric" else 2 * max(4, samples // 4))
+    assert orders
+    low = [order for order in orders if order != 3]
+    assert len(low) == 0
 
 
 def test_model_nonfinite_residual_fails(monkeypatch):

@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import oracle
 import pytest
 
-from qcfeff.jets import Jet, JetDomainError, jet_space, jet_variables
+from qcfeff.jets import Jet, JetDomainError, JetSpace, jet_space, jet_variables
 
 
 def _jet_eval(f, point, order):
@@ -179,3 +180,15 @@ def test_derivative_tensor_matches_derivative_value():
                 alpha[c] += 1
             assert t[(0,) + idx] == _derivative_value(f, alpha)
             assert t[(1,) + idx] == _derivative_value(g, alpha)
+
+
+@pytest.mark.parametrize(
+    "m, order", [(m, order) for m in range(1, 5) for order in range(5)] + [(10, 3), (14, 3)]
+)
+def test_product_table_matches_all_pairs_scan(m, order):
+    """The tables built from degree prefixes equal the scan of every index pair."""
+    sp = JetSpace(m, order)
+    have = (sp._mul_i, sp._mul_j, sp._mul_k)
+    for got, want in zip(have, oracle.jet_product_table(m, order)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

@@ -12,7 +12,8 @@ ORACLE = Path(__file__).with_name("oracle.py")
 _CALLED_FROM_OUTSIDE = {("cli.py", "_Parser.error")}
 
 # the engine code that the oracle is a separate reference for: the integer
-# operators and transfer tables, and the quaternion matrix maps
+# operators and transfer tables, the quaternion matrix maps and the jet
+# product tables
 _CHECKED_MACHINERY = {
     "ints",
     "_block_operators",
@@ -30,6 +31,9 @@ _CHECKED_MACHINERY = {
     "_realify_C",
     "_permuted",
     "_check_member",
+    "jet_space",
+    "JetSpace",
+    "_multi_indices",
 }
 
 
@@ -129,7 +133,7 @@ def test_every_import_and_private_constant_is_read():
 
 
 def test_oracle_reads_no_integer_machinery():
-    """The rational oracle stays a separate reference for the integer engine
-    and the quaternion matrix maps."""
+    """The oracle stays a separate reference for the integer engine, the
+    quaternion matrix maps and the jet product tables."""
     read = _referenced_names(ast.parse(ORACLE.read_text()))
     assert sorted(read & _CHECKED_MACHINERY) == []

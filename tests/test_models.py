@@ -4,12 +4,13 @@ import pytest
 from qcfeff import charts as ch
 from qcfeff import models as mo
 from qcfeff.jets import jet_variables
+from tests_support import metric_at, signature_at
 
 
 def test_quadric_fields_lightlike_orthogonal(quadric1):
     chart, k1, k2, k3 = quadric1
     for pt in chart.sample_points(10, seed=1):
-        g = chart.metric_at(pt)
+        g = metric_at(chart, pt)
         for k in (k1, k2, k3):
             v = k.values(pt)
             assert abs(float(v @ g @ v)) < 1e-10
@@ -135,7 +136,7 @@ def test_heisenberg_structure_matches_levi(heisenberg1):
 def test_fefferman_signature_and_flatness(heisenberg1):
     fm = mo.fefferman_metric(heisenberg1)
     for pt in fm.sample_points(5, seed=3):
-        assert fm.signature_at(pt) == (7, 3)
+        assert signature_at(fm, pt) == (7, 3)
     for pt in fm.sample_points(2, seed=4):
         c = ch.CurvatureData(fm, pt)
         assert np.max(np.abs(c.weyl)) < 1e-6
@@ -153,9 +154,9 @@ def test_scal_correction_collapses(heisenberg1):
     fm0 = mo.fefferman_metric(heisenberg1)
     fm1 = mo.fefferman_metric(heisenberg1, scal=0.0)
     pt = fm0.sample_points(1, seed=6)[0]
-    assert np.allclose(fm0.metric_at(pt), fm1.metric_at(pt))
+    assert np.allclose(metric_at(fm0, pt), metric_at(fm1, pt))
     fm2 = mo.fefferman_metric(heisenberg1, scal=3.2)
-    assert not np.allclose(fm0.metric_at(pt), fm2.metric_at(pt))
+    assert not np.allclose(metric_at(fm0, pt), metric_at(fm2, pt))
 
 
 def test_vertical_fields(heisenberg1):
@@ -164,7 +165,7 @@ def test_vertical_fields(heisenberg1):
     pts = fm.sample_points(3, seed=7)
     for fld in fields:
         for pt in pts:
-            g = fm.metric_at(pt)
+            g = metric_at(fm, pt)
             v = fld.values(pt)
             # vertical: no base components
             assert np.max(np.abs(v[: heisenberg1.dim])) == 0.0

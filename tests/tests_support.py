@@ -5,7 +5,19 @@ from fractions import Fraction
 
 from oracle import quat_conj, quat_neg
 
+from qcfeff.charts import signature
+
 _ZERO = (0, 0, 0, 0)
+
+
+def metric_at(chart, point):
+    """The chart's metric at a point, from its order-1 jets."""
+    return chart.metric_jets(point, 1)[:, :, 0]
+
+
+def signature_at(chart, point):
+    """(positive, negative) eigenvalue counts of the chart's metric at a point."""
+    return signature(metric_at(chart, point))
 
 
 def witt_display_checks(qc, cr, phi1) -> bool:
