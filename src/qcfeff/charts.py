@@ -9,9 +9,10 @@ connection take third derivatives of the metric and of the field.
 
 A check pays only for the fields it reads.  A CurvatureData evaluates
 its point's order-3 jets once, in its constructor, and builds eagerly
-everything up to the Weyl tensor; the fields that differentiate the
-Ricci and Schouten tensors (gamtr, dgamtr, d2gamtr, dric, dscal, dP,
-covP, cotton) are built together on the first read of any of them.  A
+everything up to the Weyl tensor; the second derivatives of the inverse
+metric (d2ginv) and the fields that differentiate the Ricci and Schouten
+tensors (gamtr, dgamtr, d2gamtr, dric, dscal, dP, covP, cotton) are
+built together on the first read of any of them.  A
 TractorData takes the field's jets and its conformal Killing figures,
 up to killing_residual, eagerly, and the tractor components from dalpha
 through n2k on first read.  A Fefferman point, which reads only g, weyl
@@ -217,7 +218,9 @@ class VectorFieldOnChart:
 class CurvatureData(_BuiltOnFirstRead):
     """Curvature tensors of a chart metric at one point."""
 
-    _LATE = frozenset(("gamtr", "dgamtr", "d2gamtr", "dric", "dscal", "dP", "covP", "cotton"))
+    _LATE = frozenset(
+        ("d2ginv", "gamtr", "dgamtr", "d2gamtr", "dric", "dscal", "dP", "covP", "cotton")
+    )
 
     def __init__(self, chart: MetricChart, point):
         self.chart = chart
@@ -253,12 +256,7 @@ class CurvatureData(_BuiltOnFirstRead):
             "ad,dbce->abce", ginv, dgamma_low, optimize=_PATH2
         ) + np.einsum("ade,dbc->abce", dginv, gamma_low, optimize=_PATH2)
 
-        d2ginv = -(
-            np.einsum("aed,efc,fb->abcd", dginv, dg, ginv, optimize=_PATH3)
-            + np.einsum("ae,efcd,fb->abcd", ginv, d2g, ginv, optimize=_PATH3)
-            + np.einsum("ae,efc,fbd->abcd", ginv, dg, dginv, optimize=_PATH3)
-        )
-        self.gamma_low, self.dgamma_low, self.d2ginv = gamma_low, dgamma_low, d2ginv
+        self.gamma_low, self.dgamma_low = gamma_low, dgamma_low
 
         gam, dgam = self.gamma, self.dgamma
         self.riem = (
@@ -276,9 +274,16 @@ class CurvatureData(_BuiltOnFirstRead):
         self.weyl = self.r4 - _kulkarni(self.P, g)
 
     def _build_late(self):
-        """The derivatives of the Ricci and Schouten tensors, and the Cotton tensor."""
+        """The second derivatives of the inverse metric, the derivatives of the
+        Ricci and Schouten tensors, and the Cotton tensor."""
         g, dg, d2g, d3g, ginv = self.g, self.dg, self.d2g, self.d3g, self.ginv
-        dginv, d2ginv = self.dginv, self.d2ginv
+        dginv = self.dginv
+        d2ginv = -(
+            np.einsum("aed,efc,fb->abcd", dginv, dg, ginv, optimize=_PATH3)
+            + np.einsum("ae,efcd,fb->abcd", ginv, d2g, ginv, optimize=_PATH3)
+            + np.einsum("ae,efc,fbd->abcd", ginv, dg, dginv, optimize=_PATH3)
+        )
+        self.d2ginv = d2ginv
         gamma_low, dgamma_low = self.gamma_low, self.dgamma_low
         gam, dgam = self.gamma, self.dgamma
         m = self.m

@@ -5,7 +5,10 @@ A scalar is a quaternion a + bi + cj + dk held as its component 4-tuple
 never enters Fraction arithmetic); complex and rational values are the
 4-tuples whose upper components vanish.  Convention: i*j = k.  On top of
 that: certified null spaces of rational systems (``kernel_basis``) and
-coordinates in a fixed span (``SpanSolver``), over sparse dicts.
+coordinates in a fixed span (``SpanSolver``), over sparse dicts.  The
+kernel engine keeps its integer rows as zero-free {col: int} dicts from
+input to echelon: a row's nonzero count is its ``len``, and each pivot
+step visits only the rows that hold the pivot column.
 """
 
 from __future__ import annotations
@@ -105,18 +108,22 @@ def _int_row(row, ncols):
 
 
 def _bareiss_echelon(m, ncols):
-    """Fraction-free row echelon; returns (pivot_cols, echelon rows).
+    """Fraction-free row echelon of zero-free {col: int} dict rows, which
+    are mutated in place; returns (pivot_cols, echelon rows).
 
-    Rows are mutated in place.  Pivot selection prefers sparse rows to
-    limit fill-in; the Bareiss recurrence keeps all entries integral.
-    The recurrence is applied lazily: a row with a zero in the pivot
-    column would only be rescaled by the ratio of consecutive pivots, so
-    it is left as it is, and ``level[i]`` records after how many pivot
-    steps its stored values were last brought up to date (its values
-    then are the stored ones times pivots[now] / pivots[level[i]]).  An
-    eliminated row divides by pivots[level[i]], and a pivot row is brought
-    up to date before use, so every division is exact and the echelon
-    rows are the integers of the eager recurrence.
+    For each column the rows not yet used as pivot rows that hold it are
+    listed once, and only they are eliminated.  The pivot is the first
+    sparsest (least ``len``) of the first 16 listed, to limit fill-in; an
+    entry that cancels to 0 is deleted, so ``len`` is the nonzero count.
+    The Bareiss recurrence keeps all entries integral.  It is applied
+    lazily: a row without the pivot column would only be rescaled by the
+    ratio of consecutive pivots, so it is left as it is, and ``level[i]``
+    records after how many pivot steps its stored values were last
+    brought up to date (its values then are the stored ones times
+    pivots[now] / pivots[level[i]]).  An eliminated row divides by
+    pivots[level[i]], and a pivot row is brought up to date before use,
+    so every division is exact and the echelon rows are the integers of
+    the eager recurrence.
     """
     nr = len(m)
     pivots = [mpz(1)]  # pivots[s]: the pivot of step s, 1 before the first
@@ -126,19 +133,10 @@ def _bareiss_echelon(m, ncols):
     for c in range(ncols):
         if r >= nr:
             break
-        best = -1
-        best_count = None
-        scanned = 0
-        for i in range(r, nr):
-            if m[i][c]:
-                cnt = sum(1 for x in m[i] if x)
-                if best_count is None or cnt < best_count:
-                    best, best_count = i, cnt
-                scanned += 1
-                if scanned >= 16:
-                    break
-        if best < 0:
+        holders = [i for i in range(r, nr) if c in m[i]]
+        if not holders:
             continue
+        best = min(holders[:16], key=lambda i: len(m[i]))
         if best != r:
             m[r], m[best] = m[best], m[r]
             level[r], level[best] = level[best], level[r]
@@ -146,19 +144,28 @@ def _bareiss_echelon(m, ncols):
         mr = m[r]
         if level[r] != now:
             up, down = pivots[now], pivots[level[r]]
-            for j in range(c, ncols):
-                if mr[j]:
-                    mr[j] = (up * mr[j]) // down
+            for j, x in mr.items():
+                mr[j] = (up * x) // down
         p = mr[c]
-        for i in range(r + 1, nr):
+        tail = [(j, y) for j, y in mr.items() if j != c]
+        for i in holders:
+            if i == best:
+                continue
+            if i == r:
+                i = best  # the row that the swap moved down
             mi = m[i]
-            f = mi[c]
-            if f:
-                down = pivots[level[i]]
-                for j in range(c + 1, ncols):
-                    mi[j] = (p * mi[j] - f * mr[j]) // down
-                mi[c] = mpz(0)
-                level[i] = now + 1
+            f = mi.pop(c)
+            down = pivots[level[i]]
+            for j, x in mi.items():
+                if j not in mr:
+                    mi[j] = p * x // down
+            for j, y in tail:
+                x = (p * mi.get(j, 0) - f * y) // down
+                if x:
+                    mi[j] = x
+                else:
+                    del mi[j]
+            level[i] = now + 1
         pivots.append(p)
         piv_cols.append(c)
         r += 1
@@ -177,7 +184,7 @@ def _kernel_from_echelon(piv_cols, ech, ncols):
     """
     piv_set = set(piv_cols)
     steps = [
-        (pc, int(row[pc]), [(j, int(row[j])) for j in range(pc + 1, ncols) if row[j]])
+        (pc, int(row[pc]), [(j, int(v)) for j, v in sorted(row.items()) if j != pc])
         for pc, row in zip(piv_cols, ech)
     ]
     steps.reverse()
@@ -255,13 +262,7 @@ def _component_kernel(sparse_rows, ncols):
     substitution.  A single column that no row touches comes back as its
     unit vector.
     """
-    int_rows = []
-    for row in sparse_rows:
-        dense = [mpz(0)] * ncols
-        for j, v in row.items():
-            dense[j] = mpz(v)
-        int_rows.append(dense)
-    piv_cols, ech = _bareiss_echelon(int_rows, ncols)
+    piv_cols, ech = _bareiss_echelon(sparse_rows, ncols)
     return _kernel_from_echelon(piv_cols, ech, ncols)
 
 

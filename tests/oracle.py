@@ -39,6 +39,11 @@ arrays that its checks read.
 ``jet_product_table`` lists the index triples of the truncated jet
 product by testing every pair of multi-indices, the reference for the
 tables that ``qcfeff.jets`` builds from degree prefixes.
+
+``eager_echelon`` is the exact kernel engine's reference: Bareiss
+elimination on dense integer lists that rescales every row below the
+pivot at every step and recounts each candidate row's nonzeros, where
+``qcfeff.exact`` eliminates zero-free dict rows lazily.
 """
 
 from __future__ import annotations
@@ -646,3 +651,51 @@ def jet_product_table(num_vars, order):
                 jj.append(j)
                 kk.append(position[tuple(x + y for x, y in zip(a, b))])
     return tuple(np.array(v, dtype=np.intp) for v in (ii, jj, kk))
+
+
+# ---------------------------------------------------------------------------
+# fraction-free echelon, every row at every step
+# ---------------------------------------------------------------------------
+
+
+def eager_echelon(m, ncols):
+    """Bareiss elimination that rescales every row below the pivot at every step."""
+    nr = len(m)
+    prev = 1
+    r = 0
+    piv_cols = []
+    for c in range(ncols):
+        if r >= nr:
+            break
+        best = -1
+        best_count = None
+        scanned = 0
+        for i in range(r, nr):
+            if m[i][c]:
+                cnt = sum(1 for x in m[i] if x)
+                if best_count is None or cnt < best_count:
+                    best, best_count = i, cnt
+                scanned += 1
+                if scanned >= 16:
+                    break
+        if best < 0:
+            continue
+        if best != r:
+            m[r], m[best] = m[best], m[r]
+        p = m[r][c]
+        for i in range(r + 1, nr):
+            mi = m[i]
+            f = mi[c]
+            mr = m[r]
+            if f:
+                for j in range(c + 1, ncols):
+                    mi[j] = (p * mi[j] - f * mr[j]) // prev
+                mi[c] = 0
+            elif prev != 1 or p != 1:
+                for j in range(c + 1, ncols):
+                    if mi[j]:
+                        mi[j] = (p * mi[j]) // prev
+        prev = p
+        piv_cols.append(c)
+        r += 1
+    return piv_cols, m[:r]

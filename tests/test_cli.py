@@ -277,7 +277,7 @@ def test_fefferman_point_builds_no_late_fields(monkeypatch):
     (curv,) = [obj for obj in built if isinstance(obj, ch.CurvatureData)]
     tractors = [obj for obj in built if isinstance(obj, ch.TractorData)]
     assert len(tractors) == len(fields)
-    assert {"cotton", "dric"}.isdisjoint(vars(curv))
+    assert {"cotton", "dric", "d2ginv"}.isdisjoint(vars(curv))
     assert ch.CurvatureData._LATE.isdisjoint(vars(curv))
     for td in tractors:
         assert "n2k" not in vars(td)

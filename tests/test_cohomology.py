@@ -217,13 +217,30 @@ def test_harmonic_bases_pinned(chain1):
         2: "2a75c2a7e2256c53a948039e0d39a72a10c9b43e5ca8c142e1f2bfeffb781560",
     }
     for n, digest in digests.items():
-        h = hashlib.sha256()
-        for l in coh.homogeneity_range(qc, n):
-            _, basis, src = harmonic_space(qc, n, l)
-            for c in basis:
-                coords = [str(c.get(key, {}).get(m, 0)) for key, m in src]
-                h.update(("%d:%s\n" % (l, ",".join(coords))).encode())
-        assert h.hexdigest() == digest
+        assert _harmonic_digest(qc, n) == digest
+
+
+def test_harmonic_bases_pinned_qc2(chain2):
+    """Every degree-2 harmonic basis vector of qc(2), every homogeneity
+    block, hashed.
+
+    The digest was taken when the elimination still ran on dense rows;
+    the zero-free dict rows reproduce it bit for bit.
+    """
+    qc, _, _ = chain2
+    digest = "1f04c76b42476328460e173c140d049110d53e63f5c19d2d2c7cabe194014143"
+    assert _harmonic_digest(qc, 2) == digest
+
+
+def _harmonic_digest(alg, n):
+    """SHA-256 of the harmonic bases of degree n, block by block, as coordinates."""
+    h = hashlib.sha256()
+    for l in coh.homogeneity_range(alg, n):
+        _, basis, src = harmonic_space(alg, n, l)
+        for c in basis:
+            coords = [str(c.get(key, {}).get(m, 0)) for key, m in src]
+            h.update(("%d:%s\n" % (l, ",".join(coords))).encode())
+    return h.hexdigest()
 
 
 def test_bracket_tensor_id_conventions(chain1):

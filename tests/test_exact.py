@@ -383,49 +383,6 @@ def test_span_solver_matches_full_scan(gens, queries):
             assert all(type(c) in (int, Fraction) for c in got.values())
 
 
-def _eager_echelon(m, ncols):
-    """Bareiss elimination that rescales every row below the pivot at every step."""
-    nr = len(m)
-    prev = 1
-    r = 0
-    piv_cols = []
-    for c in range(ncols):
-        if r >= nr:
-            break
-        best = -1
-        best_count = None
-        scanned = 0
-        for i in range(r, nr):
-            if m[i][c]:
-                cnt = sum(1 for x in m[i] if x)
-                if best_count is None or cnt < best_count:
-                    best, best_count = i, cnt
-                scanned += 1
-                if scanned >= 16:
-                    break
-        if best < 0:
-            continue
-        if best != r:
-            m[r], m[best] = m[best], m[r]
-        p = m[r][c]
-        for i in range(r + 1, nr):
-            mi = m[i]
-            f = mi[c]
-            mr = m[r]
-            if f:
-                for j in range(c + 1, ncols):
-                    mi[j] = (p * mi[j] - f * mr[j]) // prev
-                mi[c] = 0
-            elif prev != 1 or p != 1:
-                for j in range(c + 1, ncols):
-                    if mi[j]:
-                        mi[j] = (p * mi[j]) // prev
-        prev = p
-        piv_cols.append(c)
-        r += 1
-    return piv_cols, m[:r]
-
-
 @st.composite
 def integer_systems(draw):
     """Small integer systems, some with dependent rows and zero columns."""
@@ -446,8 +403,50 @@ def integer_systems(draw):
 @settings(max_examples=300, deadline=None)
 def test_bareiss_matches_eager_recurrence(system):
     rows, ncols = system
-    lazy = exact._bareiss_echelon([[exact.mpz(x) for x in row] for row in rows], ncols)
-    assert lazy == _eager_echelon([list(row) for row in rows], ncols)
+    lazy = exact._bareiss_echelon(_dict_rows(rows), ncols)
+    assert lazy == _eager_dict_echelon(rows, ncols)
+
+
+def _dict_rows(rows):
+    """Zero-free {col: mpz} forms of dense integer rows."""
+    return [{j: exact.mpz(x) for j, x in enumerate(row) if x} for row in rows]
+
+
+def _eager_dict_echelon(rows, ncols):
+    """The oracle's echelon of dense rows, its rows as zero-free dicts."""
+    piv_cols, ech = oracle.eager_echelon([list(row) for row in rows], ncols)
+    return piv_cols, [{j: x for j, x in enumerate(row) if x} for row in ech]
+
+
+def _capped_system(rng):
+    """At least 20 rows through column 0, so the 16-candidate pivot scan
+    stops early, plus planted rows: integer combinations of two rows, some
+    with a unit added, which cancel to few or no entries."""
+    ncols = rng.randint(8, 14)
+    rows = []
+    for _ in range(rng.randint(20, 26)):
+        row = [rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(ncols)]
+        row[0] = rng.choice((-2, -1, 1, 2, 3))
+        rows.append(row)
+    for _ in range(rng.randint(4, 8)):
+        u, v = rng.sample(rows, 2)
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        row = [a * x + b * y for x, y in zip(u, v)]
+        if rng.random() < 0.5:
+            row[rng.randrange(ncols)] += 1
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def test_bareiss_pivot_cap_matches_eager_recurrence():
+    rng = random.Random(19)
+    for _ in range(60):
+        rows, ncols = _capped_system(rng)
+        assert sum(1 for row in rows if row[0]) >= 20
+        piv_cols, ech = exact._bareiss_echelon(_dict_rows(rows), ncols)
+        assert (piv_cols, ech) == _eager_dict_echelon(rows, ncols)
+        assert all(all(row.values()) for row in ech)
 
 
 def test_kernel_dense_row_length_mismatch():

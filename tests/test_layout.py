@@ -12,9 +12,12 @@ ORACLE = Path(__file__).with_name("oracle.py")
 _CALLED_FROM_OUTSIDE = {("cli.py", "_Parser.error")}
 
 # the engine code that the oracle is a separate reference for: the integer
-# operators and transfer tables, the quaternion matrix maps and the jet
-# product tables
+# operators and transfer tables, the quaternion matrix maps, the jet
+# product tables and the kernel engine's elimination
 _CHECKED_MACHINERY = {
+    "_bareiss_echelon",
+    "_kernel_from_echelon",
+    "_component_kernel",
     "ints",
     "_block_operators",
     "_operators_into",
@@ -134,6 +137,6 @@ def test_every_import_and_private_constant_is_read():
 
 def test_oracle_reads_no_integer_machinery():
     """The oracle stays a separate reference for the integer engine, the
-    quaternion matrix maps and the jet product tables."""
+    quaternion matrix maps, the jet product tables and the elimination."""
     read = _referenced_names(ast.parse(ORACLE.read_text()))
     assert sorted(read & _CHECKED_MACHINERY) == []
