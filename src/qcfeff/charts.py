@@ -118,11 +118,10 @@ class _BuiltOnFirstRead:
 class MetricChart:
     """Coordinate chart with a jet-evaluable metric field."""
 
-    def __init__(self, name, dim, metric_fn, signature=None, center=None, radius=1.0):
+    def __init__(self, name, dim, metric_fn, center=None, radius=1.0):
         self.name = name
         self.dim = dim
         self.metric_fn = metric_fn
-        self.signature = signature
         self.center = np.zeros(dim) if center is None else np.asarray(center, float)
         self.radius = radius
 
@@ -176,7 +175,6 @@ class MetricChart:
             name or self.name + "+rescaled",
             self.dim,
             metric,
-            self.signature,
             self.center,
             self.radius,
         )
@@ -737,7 +735,7 @@ def flat_chart(dim, signature=None):
             [diag[a] if a == b else 0.0 for b in range(dim)] for a in range(dim)
         ]
 
-    return MetricChart("flat%dd" % dim, dim, metric, (p, dim - p))
+    return MetricChart("flat%dd" % dim, dim, metric)
 
 
 def sphere_chart(m):
@@ -753,7 +751,7 @@ def sphere_chart(m):
             [factor if a == b else 0.0 for b in range(m)] for a in range(m)
         ]
 
-    return MetricChart("sphere%dd" % m, m, metric, (m, 0), radius=0.8)
+    return MetricChart("sphere%dd" % m, m, metric, radius=0.8)
 
 
 def random_polynomial_chart(dim, seed, signature=None, scale=0.05, radius=0.4):
@@ -790,7 +788,7 @@ def random_polynomial_chart(dim, seed, signature=None, scale=0.05, radius=0.4):
         return rows
 
     return MetricChart(
-        "randpoly%dd-s%d" % (dim, seed), dim, metric, (p, dim - p), radius=radius
+        "randpoly%dd-s%d" % (dim, seed), dim, metric, radius=radius
     )
 
 
@@ -811,11 +809,10 @@ def random_conf_factor(dim, seed, scale=0.1):
     return phi
 
 
-def weyl_conformal_covariance_residual(chart, point, conf_fn):
-    """| W(e^{2phi} g) - e^{2phi} W(g) | at the point, normalized."""
-    base = CurvatureData(chart, point)
-    resc = CurvatureData(chart.rescaled(conf_fn), point)
-    xs = jet_variables(point, 1)
+def weyl_conformal_covariance_residual(base: CurvatureData, conf_fn):
+    """| W(e^{2phi} g) - e^{2phi} W(g) | at the point of ``base``, normalized."""
+    resc = CurvatureData(base.chart.rescaled(conf_fn), base.point)
+    xs = jet_variables(base.point, 1)
     factor = math.exp(2.0 * conf_fn(xs).value)
     diff = resc.weyl - factor * base.weyl
     return float(np.max(np.abs(diff))) / (1.0 + float(np.max(np.abs(base.weyl))))

@@ -67,17 +67,15 @@ def suite_cohomology(n, progress=None):
     from .gradedlie import build_co, build_qc
 
     qc = build_qc(n)
-    rows_h1 = []
-    ok = True
-    for l in coh.homogeneity_range(qc, 1):
-        if progress:
-            progress("H1 block l=%d" % l)
-        dim, _, _ = coh.harmonic_space(qc, 1, l)
-        rows_h1.append(
-            {"algebra": qc.name, "n_param": n, "degree": 1, "homogeneity": l, "dim": dim}
-        )
-        if l >= 0 and dim != 0:
-            ok = False
+    if progress:
+        progress("H1 Hodge pass")
+    hodge = [coh.hodge_check(qc, 1)]
+    h1 = hodge[0]["harmonic"]
+    rows_h1 = [
+        {"algebra": qc.name, "n_param": n, "degree": 1, "homogeneity": l, "dim": dim}
+        for l, dim in h1.items()
+    ]
+    ok = all(dim == 0 for l, dim in h1.items() if l >= 0)
     h2_range = coh.homogeneity_range(qc, 2)
     if n >= 3:
         h2_range = [l for l in h2_range if l <= 2]
@@ -107,27 +105,21 @@ def suite_cohomology(n, progress=None):
     if n == 1:
         if hom_dims.get(1, 0) == 0:
             ok = False
+        hodge.append(coh.hodge_check(qc, 2))
+        co = build_co(7, 3)
+        hodge.append({"algebra": co.name, **coh.hodge_check(co, 1)})
     else:
         if hom_dims.get(1, 0) != 0 or hom_dims.get(2, 0) == 0:
             ok = False
         row2 = next(r for r in rows_h2 if r["homogeneity"] == 2)
         if not (row2["contained_in_L2g0"] and row2["annihilated_by_bracket_tensor_id"]):
             ok = False
-    if progress:
-        progress("hodge checks")
-    hodge = [coh.hodge_check(qc, 1)]
-    if n == 1:
-        hodge.append(coh.hodge_check(qc, 2))
-        co = build_co(7, 3)
-        hodge.append({"algebra": co.name, **coh.hodge_check(co, 1)})
-    for h in hodge:
-        if not h["pass"]:
-            ok = False
+    ok = ok and all(h["pass"] for h in hodge)
     report = {
         "harmonic_h1": rows_h1,
         "harmonic_h2": rows_h2,
         "hodge": [
-            {k: v for k, v in h.items() if k != "blocks"} for h in hodge
+            {k: v for k, v in h.items() if k != "harmonic"} for h in hodge
         ],
         "pass": ok,
     }
@@ -426,7 +418,7 @@ def suite_random_metrics(dim, count=10, seed=0, tol=None):
         res, fit = curv.weyl_divergence_residual()
         tr, sch = curv.weyl_trace_residual(), curv.schouten_residual()
         cf = ch.random_conf_factor(dim, seed + s)
-        cov = ch.weyl_conformal_covariance_residual(chart, pt, cf)
+        cov = ch.weyl_conformal_covariance_residual(curv, cf)
         # max() below drops a NaN, so a non-finite residual fails here
         ok &= bool(np.isfinite([res, tr, sch, cov]).all())
         worst_div = max(worst_div, res)

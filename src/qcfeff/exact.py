@@ -58,7 +58,11 @@ def _add_scaled(acc, vec, scale=_F1):
 
 
 def quat_product(p, q):
-    """Components of the quaternion product of two component 4-tuples."""
+    """Components of the quaternion product of two component 4-tuples.
+
+    The components may be any ring elements: ints and Fractions here,
+    floats and jets in the model charts.
+    """
     a1, b1, c1, d1 = p
     a2, b2, c2, d2 = q
     return (

@@ -39,6 +39,26 @@ class InclusionError(RuntimeError):
     pass
 
 
+def _one_ratio(pairs):
+    """The exact lhs / rhs shared by every (lhs, rhs) pair that is not (0, 0).
+
+    None when no pair is left, a pair has rhs 0 or two ratios differ;
+    the pairs are read only up to the first failure.
+    """
+    ratio = None
+    for lhs, rhs in pairs:
+        if lhs == 0 and rhs == 0:
+            continue
+        if rhs == 0:
+            return None
+        r = _div(lhs, rhs)
+        if ratio is None:
+            ratio = r
+        elif ratio != r:
+            return None
+    return ratio
+
+
 class _IntTransfer(NamedTuple):
     """Integer tables of one inclusion that the transfer checks and solution spaces read.
 
@@ -103,22 +123,13 @@ class GradedInclusion:
 
     def _solve_killing_constant(self):
         src, tgt = self.source, self.target
-        c = None
-        for i in range(src.dim):
-            for j in range(i, src.dim):
-                lhs = src.killing[i][j]
-                rhs = tgt.killing_vec(self.img[i], self.img[j])
-                if lhs == 0 and rhs == 0:
-                    continue
-                if rhs == 0:
-                    raise InclusionError("no Killing constant fits (zero target)")
-                ratio = _div(lhs, rhs)
-                if c is None:
-                    c = ratio
-                elif c != ratio:
-                    raise InclusionError("inconsistent Killing constant")
-        if c is None or c == 0:
-            raise InclusionError("degenerate Killing pairing")
+        c = _one_ratio(
+            (src.killing[i][j], tgt.killing_vec(self.img[i], self.img[j]))
+            for i in range(src.dim)
+            for j in range(i, src.dim)
+        )
+        if not c:
+            raise InclusionError("no single nonzero Killing constant fits")
         return c
 
     def is_homomorphism(self) -> bool:
@@ -606,38 +617,30 @@ def corner_trace_constant(alg, unit="i"):
     The proportionality is the algebraic content of the quaternionic
     trace formula; returns None when it fails (it must not).
     """
-    tmap = corner_bracket_map(alg, unit)
-    c = None
-    for a, row in tmap.items():
+    pairs = []
+    for a, row in corner_bracket_map(alg, unit).items():
         r = _entry_right_mult(alg, a, unit)
         if r is None:
             return None
         sgn, idx = r
         if len(row) != 1 or idx not in row:
             return None
-        ratio = _div(row[idx], sgn)
-        if c is None:
-            c = ratio
-        elif c != ratio:
-            return None
-    return c
+        pairs.append((row[idx], sgn))
+    return _one_ratio(pairs)
 
 
 def corner_square_constant(alg, unit="i"):
     """lambda with (X -> [corner, dual(X)]_-) squared = lambda * Id, if it holds."""
     tmap = corner_bracket_map(alg, unit)
-    lam = None
+    pairs = []
     for a, row in tmap.items():
         sq = {}
         for i, c in row.items():
             _add_scaled(sq, tmap.get(i, {}), c)
         if list(sq) != [a]:
             return None
-        if lam is None:
-            lam = sq[a]
-        elif lam != sq[a]:
-            return None
-    return lam
+        pairs.append((sq[a], 1))
+    return _one_ratio(pairs)
 
 
 def _trace_scalars(pairs, induce):
@@ -826,27 +829,15 @@ def scaling_compat_check(phi: GradedInclusion, wrong_element=False) -> dict:
             if any(tgt.bracket_vec(probe, {j: _F1}) for j in tgt.by_degree[0]):
                 e_tgt = probe
                 break
-    const = None
-    consistent = True
-    for i in range(src.dim):
-        lhs = src.killing_vec(e_src, {i: _F1})
-        rhs = tgt.killing_vec(e_tgt, phi.apply({i: _F1}))
-        if lhs == 0 and rhs == 0:
-            continue
-        if rhs == 0:
-            consistent = False
-            break
-        ratio = _div(lhs, rhs)
-        if const is None:
-            const = ratio
-        elif const != ratio:
-            consistent = False
-            break
+    const = _one_ratio(
+        (src.killing_vec(e_src, {i: _F1}), tgt.killing_vec(e_tgt, phi.apply({i: _F1})))
+        for i in range(src.dim)
+    )
     return {
         "lemma": "scaling-compatibility",
         "inclusion": "%s->%s" % (src.name, tgt.name),
-        "constant": str(const) if consistent and const is not None else None,
-        "pass": consistent and const is not None,
+        "constant": str(const) if const is not None else None,
+        "pass": const is not None,
     }
 
 

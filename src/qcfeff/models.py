@@ -121,9 +121,7 @@ def quadric_model(n: int):
                 rows[b][a] = v
         return rows
 
-    chart = MetricChart(
-        "quadric(n=%d)" % n, dim, metric, (d1, 3), radius=0.62
-    )
+    chart = MetricChart("quadric(n=%d)" % n, dim, metric, radius=0.62)
 
     def field(unit_idx):
         def comps(xs):
@@ -291,21 +289,10 @@ def _fiber_sigma(xs, base_dim):
         dq[1 + r] = 1.0
         # conj(q) * dq, quaternion product with conj(q) = (h, -z)
         cq = [q[0], q[1] * (-1.0), q[2] * (-1.0), q[3] * (-1.0)]
-        prod = _jet_quat_mult(cq, dq)
+        prod = quat_product(cq, dq)
         for s in range(3):
             sigma[s][r] = prod[1 + s]
     return sigma
-
-
-def _jet_quat_mult(a, b):
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return [
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    ]
 
 
 def _adjoint_matrix(xs, base_dim):
@@ -322,7 +309,7 @@ def _adjoint_matrix(xs, base_dim):
     for r in range(3):
         er = [0.0, 0.0, 0.0, 0.0]
         er[1 + r] = 1.0
-        prod = _jet_quat_mult(_jet_quat_mult(q, er), cq)
+        prod = quat_product(quat_product(q, er), cq)
         for s in range(3):
             rows[s][r] = prod[1 + s]
     return rows
@@ -403,7 +390,7 @@ def fefferman_metric(qc: QcData, scal=None, rotate_eta=False) -> MetricChart:
         return rows
 
     name = "fefferman(n=%d%s)" % (n, ",rotated" if rotate_eta else "")
-    return MetricChart(name, dim, metric, (4 * n + 3, 3), radius=0.55)
+    return MetricChart(name, dim, metric, radius=0.55)
 
 
 def sp1_fundamental_fields(qc: QcData):
@@ -428,7 +415,7 @@ def sp1_fundamental_fields(qc: QcData):
             q = [h, z[0], z[1], z[2]]
             e = [0.0] * 4
             e[unit_idx] = 1.0
-            prod = _jet_quat_mult(e, q)
+            prod = quat_product(e, q)
             out = [0.0] * dim
             for r in range(3):
                 out[base_dim + r] = prod[1 + r]

@@ -219,7 +219,7 @@ def test_criterion_09_tensor_pipeline():
         ok = ok and curv.weyl_trace_residual() < 1e-9
         ok = ok and curv.schouten_residual() < 1e-10
         cf = ch.random_conf_factor(4, seed)
-        ok = ok and ch.weyl_conformal_covariance_residual(chart, pt, cf) < 1e-7
+        ok = ok and ch.weyl_conformal_covariance_residual(ch.CurvatureData(chart, pt), cf) < 1e-7
     sphere = ch.sphere_chart(4)
     spt = sphere.sample_points(1, 0)[0]
     sc = ch.CurvatureData(sphere, spt)

@@ -61,7 +61,7 @@ def test_weyl_conformal_covariance():
         chart = ch.random_polynomial_chart(dim, 1)
         pt = chart.sample_points(1, 2)[0]
         cf = ch.random_conf_factor(dim, 5)
-        assert ch.weyl_conformal_covariance_residual(chart, pt, cf) < 1e-7
+        assert ch.weyl_conformal_covariance_residual(ch.CurvatureData(chart, pt), cf) < 1e-7
 
 
 def _frame_independence_residual(chart, point, seed=0):
@@ -92,7 +92,7 @@ def _frame_independence_residual(chart, point, seed=0):
                 out[a][b] = acc
         return out
 
-    pulled = ch.MetricChart(chart.name + "+lin", m, metric, chart.signature)
+    pulled = ch.MetricChart(chart.name + "+lin", m, metric)
     pt2 = np.linalg.solve(A, np.asarray(point, float))
     c1 = ch.CurvatureData(chart, point)
     c2 = ch.CurvatureData(pulled, pt2)

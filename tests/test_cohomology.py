@@ -1,5 +1,8 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from oracle import (
     Cochain,
@@ -135,6 +138,75 @@ def test_hodge_degree2_qc(chain1):
     qc, _, _ = chain1
     rep = hodge_check(qc, 2)
     assert rep["pass"]
+
+
+def test_hodge_pass_returns_the_harmonic_dimensions(chain1, chain2):
+    """The Hodge pass reads each block's harmonic dimension, in
+    homogeneity_range order, as harmonic_space does."""
+    qc1, _, co = chain1
+    for alg, n in ((qc1, 1), (qc1, 2), (chain2[0], 1), (co, 1)):
+        got = list(hodge_check(alg, n)["harmonic"].items())
+        assert got == [(l, harmonic_space(alg, n, l)[0]) for l in coh.homogeneity_range(alg, n)]
+
+
+def test_hodge_pass_refuses_a_sum_that_is_not_direct(chain1, monkeypatch):
+    """im d = <e0>, ker box = <e1>, im d* = <e0 + e1, e3, ...> on one block:
+    the ranks add up to the block dimension and every two of the spans are
+    independent, but together they miss e2, so the block must fail."""
+    qc, _, _ = chain1
+    l = max(coh.homogeneity_range(qc, 1), key=lambda l: len(coh.block_basis(qc, 1, l)))
+    src = coh.block_basis(qc, 1, l)
+    dim = len(src)
+    im_del = [{0: 1}]
+    hvecs = [{1: 1}]
+    im_cod = [{0: 1, 1: 1}] + [{t: 1} for t in range(3, dim)]
+    spans = (im_del, hvecs, im_cod)
+    rank = coh._rank_of_vectors
+    assert sum(len(s) for s in spans) == dim
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert rank(spans[i] + spans[j], dim) == len(spans[i]) + len(spans[j])
+    assert rank(im_del + hvecs + im_cod, dim) == dim - 1
+
+    harmonic_vectors, operators_into = coh._harmonic_vectors, coh._operators_into
+    monkeypatch.setattr(
+        coh, "_harmonic_vectors", lambda blk: hvecs if blk.src == src else harmonic_vectors(blk)
+    )
+    monkeypatch.setattr(
+        coh,
+        "_operators_into",
+        lambda alg, n, blk: (im_del, im_cod) if blk.src == src else operators_into(alg, n, blk),
+    )
+    rep = hodge_check(qc, 1)
+    assert rep["pass"] is False
+    assert rep["harmonic"][l] == 1
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_cohomology_suite_solves_each_degree1_block_once(n, monkeypatch):
+    """The H^1 table comes from the Hodge pass: one harmonic solve per block."""
+    from qcfeff.cli import suite_cohomology
+    from qcfeff.gradedlie import build_qc
+
+    block_of, solves = {}, Counter()
+    block_operators, harmonic_vectors = coh._block_operators, coh._harmonic_vectors
+
+    def recording_block_operators(alg, deg, l):
+        blk = block_operators(alg, deg, l)
+        block_of[id(blk)] = (alg.name, deg, l, blk)
+        return blk
+
+    def counting_harmonic_vectors(blk):
+        solves[block_of[id(blk)][:3]] += 1
+        return harmonic_vectors(blk)
+
+    monkeypatch.setattr(coh, "_block_operators", recording_block_operators)
+    monkeypatch.setattr(coh, "_harmonic_vectors", counting_harmonic_vectors)
+    _, ok = suite_cohomology(n)
+    assert ok
+    qc = build_qc(n)
+    got = {key: c for key, c in solves.items() if key[:2] == (qc.name, 1)}
+    assert got == {(qc.name, 1, l): 1 for l in coh.homogeneity_range(qc, 1)}
 
 
 def _block_coords(coeffs, basis):
