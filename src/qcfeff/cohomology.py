@@ -16,8 +16,11 @@ parts add up to the block dimension, and so does the rank of their
 stacked spans) and keeps the harmonic dimension, which is the H^n table
 the cohomology suite reports.  On C^2
 both parts of the dual-basis codifferential ((d*phi)_1 - 1/2 (d*phi)_2)
-act on integer cochains (``_part1_ints``, ``_part2_ints_at``) for the
-inclusion checks.  The rational per-cochain forms of these operators,
+act on integer cochains for the inclusion checks: part 1 is read off
+dual_brackets, and part 2 is -2 times the wedge ``pairs`` table of the d*
+columns, since a minus pair (a, b) enters it at e_y with
+[e_y, e^b]_a - [e_y, e^a]_b = -2 B([e^a, e^b], e_y) by ad-invariance of
+the Killing form B.  The rational per-cochain forms of these operators,
 and the composed Laplacian, live with the tests, as the reference the
 integer columns are checked against.
 
@@ -167,43 +170,31 @@ def _part1_ints(alg, coeffs):
     return {x: vec for x, vec in out.items() if vec}
 
 
-def _part2_ints_at(alg, coeffs, yvec):
-    """c_scale times part 2 at Y of an integer C^2 cochain, for integer Y.
-
-    Part 2 at Y is the sum over t of phi([Y, e^t]_-, e_t); a minus pair
-    (a, b) enters through the coefficient of e_a in [Y, e^b] and of e_b
-    in [Y, e^a], so the degree < 0 part of dual_brackets is all it reads.
-    """
-    tables = _tables(alg)
-    dual, pos_of = tables.ints.dual_brackets, tables.pos_of
-    out = {}
-    for (a, b), vec in coeffs.items():
-        pa, pb = pos_of[a], pos_of[b]
-        c = sum(y * (dual[i][pb].get(a, 0) - dual[i][pa].get(b, 0)) for i, y in yvec.items())
-        if c:
-            _add_scaled(out, vec, c)
-    return out
-
-
 def _part2_ints(alg, coeffs):
-    """c_scale times part 2 on every minus basis vector, as {y: {l: int}}."""
+    """c_scale times part 2 of an integer C^2 cochain on every minus basis
+    vector, as {y: {l: int}}, read off the wedge ``pairs`` table.
+
+    Part 2 at Y is the sum over t of phi([Y, e^t]_-, e_t), so a minus pair
+    (a, b) enters at e_y with [e_y, e^b]_a - [e_y, e^a]_b.  The e_a
+    coefficient of v is B(v, e^a) and B is ad-invariant, so this is
+    -2 B([e^a, e^b], e_y) = -2 pairs[(a, b)][y]; by grading it is 0 for y
+    of degree >= 0, so part 2 at any Y reads only Y's minus part.
+    """
+    pairs = _tables(alg).ints.pairs
     out = {}
-    for y in _tables(alg).minus:
-        vec = _part2_ints_at(alg, coeffs, {y: 1})
-        if vec:
-            out[y] = vec
-    return out
+    for key, vec in coeffs.items():
+        for y, c in pairs.get(key, {}).items():
+            _add_scaled(out.setdefault(y, {}), vec, -2 * c)
+    return {y: vec for y, vec in out.items() if vec}
 
 
 def _codifferential_ints(alg, coeffs):
     """2 c_scale times the codifferential part1 - 1/2 part2 of an integer C^2 cochain."""
-    out = {x: {l: 2 * c for l, c in vec.items()} for x, vec in _part1_ints(alg, coeffs).items()}
-    for y, vec in _part2_ints(alg, coeffs).items():
-        acc = out.setdefault(y, {})
-        _add_scaled(acc, vec, -1)
-        if not acc:
-            del out[y]
-    return out
+    out = {}
+    for part, scale in ((_part1_ints(alg, coeffs), 2), (_part2_ints(alg, coeffs), -1)):
+        for x, vec in part.items():
+            _add_scaled(out.setdefault(x, {}), vec, scale)
+    return {x: vec for x, vec in out.items() if vec}
 
 
 # ---------------------------------------------------------------------------

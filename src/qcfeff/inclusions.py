@@ -23,7 +23,6 @@ from .cohomology import (
     _denominator_lcm,
     _part1_ints,
     _part2_ints,
-    _part2_ints_at,
     _scaled,
     _tables,
     random_cochain,
@@ -453,11 +452,14 @@ def del2_identity_check(phi: GradedInclusion, coeffs, unit="i") -> dict:
     # lhs is c_src den times phi(part2(kappa)(xi)); mid and rhs are
     # c_tgt xi_den^2 den^2 times part2(tilde) at phi(xi) and at its
     # degree -2 part; with c = c_num / c_den, 2c phi(part2(kappa)(xi))
-    # equals part2(tilde)(phi(xi)) when lhs / lhs_scale == mid / mid_scale
-    lhs = _apply_ints(data.img, _part2_ints_at(src, coeffs, {xi_idx: 1}))
-    y = data.img[xi_idx]
-    mid = _part2_ints_at(tgt, tilde, y)
-    rhs = _part2_ints_at(tgt, tilde, {t: v for t, v in y.items() if tgt.degrees[t] == -2})
+    # equals part2(tilde)(phi(xi)) when lhs / lhs_scale == mid / mid_scale;
+    # part 2 is linear in Y and 0 off g_-, so mid and rhs combine its
+    # values on the minus basis vectors that phi(xi) holds
+    lhs = _apply_ints(data.img, _part2_ints(src, coeffs).get(xi_idx, {}))
+    tilde_part2 = _part2_ints(tgt, tilde)
+    y = {t: v for t, v in data.img[xi_idx].items() if t in tilde_part2}
+    mid = _apply_ints(tilde_part2, y)
+    rhs = _apply_ints(tilde_part2, {t: v for t, v in y.items() if tgt.degrees[t] == -2})
     lhs_scale = c.denominator * _tables(src).ints.c_scale
     mid_scale = 2 * c.numerator * _tables(tgt).ints.c_scale * data.xi_den ** 2 * data.den
     return {

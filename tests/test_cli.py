@@ -174,6 +174,22 @@ def test_inclusions_n2_solution_spaces_pinned(tmp_path):
     )
 
 
+def test_inclusions_n3_solution_spaces_pinned(tmp_path):
+    """The n=3 solution spaces pass, with their dimensions and bytes."""
+    code, text = _run(
+        tmp_path, "inclusions", "--n", "3", "--full", "--seeds", "1", "--negative-controls"
+    )
+    assert code == 0
+    rep = json.loads(text)["results"]
+    for key in ("normality_transfer", "inverse_normality"):
+        assert rep[key]["dim_solution_space"] == 3552
+        assert rep[key]["all_exact_zero"]
+    assert rep["negative_controls"]["pass"]
+    assert _sha256(text) == (
+        "47ef6a4d5bb3299468411d216416da2e5fe301e8bbe6f38d8541b6e0aa1fb0a6"
+    )
+
+
 def test_cohomology_bad_n(tmp_path):
     code = main(["cohomology", "--n", "7"])
     assert code == 4

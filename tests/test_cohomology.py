@@ -1,12 +1,14 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from oracle import (
     Cochain,
     add,
+    codiff_part2_at,
     codifferential,
     codifferential_minus,
     codifferential_wedge,
@@ -274,6 +276,52 @@ def test_block_operators_match_per_cochain_operators(chain1):
                         img = op(Cochain(alg, deg, {key: {m: F1}}))
                         expect = _block_coords(img.coeffs, target)
                         assert col == {t: factor * c for t, c in expect.items()}
+
+
+def test_codifferential_ints_are_twice_the_wedge_columns(chain1, chain2):
+    """The dual-basis codifferential on integer C^2 cochains and the wedge
+    d* columns are one operator: on every basis cochain {key: {m: 1}} of
+    qc, cr and co at n = 1 and 2, _codifferential_ints is 2 times its
+    column, read in (x, l) coordinates.  The identification sign
+    _WEDGE_SIGN[2] * _WEDGE_SIGN[1] = -1 sits inside the column."""
+    for alg in chain1 + chain2:
+        tables = coh._tables(alg)
+        basis = [(key, m) for key in combinations(tables.minus, 2) for m in range(alg.dim)]
+        down = [((x,), l) for x in tables.minus for l in range(alg.dim)]
+        cols = coh._codifferential_columns(
+            tables, 2, basis, {xl: t for t, xl in enumerate(down)}
+        )
+        assert any(cols)
+        for (key, m), col in zip(basis, cols):
+            expect = {}
+            for t, c in col.items():
+                (x,), l = down[t]
+                expect.setdefault(x, {})[l] = 2 * c
+            assert coh._codifferential_ints(alg, {key: {m: 1}}) == expect, (alg.name, key, m)
+
+
+def test_part2_ints_match_the_oracle_on_a_basis(chain1):
+    """Part 2 of e^a ^ e^b (x) v is c(a, b, y) v at e_y, so one value
+    vector per minus pair covers a basis of C^2.  At every basis element
+    e_i of g, degree >= 0 included, the integer part 2 (read off the
+    wedge pairs table) is c_scale times the oracle's sum over t of
+    phi([e_i, e^t]_-, e_t); in particular it is 0 off g_-, the fact the
+    del2 check's value at phi(xi) rests on."""
+    qc, cr, _ = chain1
+    for alg in (qc, cr):
+        c_scale = coh._tables(alg).ints.c_scale
+        v = {m: m % 5 - 2 for m in range(alg.dim) if m % 5 != 2}
+        nonzero = 0
+        for key in combinations(alg.minus_indices(), 2):
+            ints = coh._part2_ints(alg, {key: v})
+            phi = Cochain(alg, 2, {key: v})
+            for i in range(alg.dim):
+                expect = codiff_part2_at(phi, {i: F1})
+                assert ints.get(i, {}) == {l: c_scale * c for l, c in expect.items()}, (
+                    alg.name, key, i
+                )
+                nonzero += bool(expect)
+        assert nonzero > 0
 
 
 def test_harmonic_bases_pinned(chain1):

@@ -509,7 +509,7 @@ def test_seeded_del_checks_stay_in_integers(inclusions1):
         for name in ("Cochain", "_integer_coeffs", "differential", "codifferential",
                      "codifferential_minus", "codifferential_wedge", "_part1",
                      "codiff_part2_at", "bracket_tensor_id", "laplacian_block",
-                     "_laplacian_rows"):
+                     "_laplacian_rows", "_part2_ints_at"):
             assert not hasattr(module, name), (module.__name__, name)
     for name in ("induce_cochain", "recover_cochain", "preimage", "project_to_image"):
         assert not hasattr(inc.GradedInclusion, name), name
